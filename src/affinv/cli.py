@@ -33,9 +33,12 @@ def _as_matrix(values, n: int, what: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != n * n:
         raise SchemaError(f"{what}: expected a flat list of {n * n} numbers")
     try:
-        return np.array([float(v) for v in values]).reshape(n, n)
+        matrix = np.array([float(v) for v in values]).reshape(n, n)
     except (TypeError, ValueError):
         raise SchemaError(f"{what}: entries must be numbers") from None
+    if not np.all(np.isfinite(matrix)):
+        raise SchemaError(f"{what}: entries must be finite")
+    return matrix
 
 
 def load_rep(path: str, tol: float) -> AffineRepresentation:
@@ -86,7 +89,11 @@ def _vec(x) -> list[float]:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload))
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise NumericalDegeneracy("result is not finite") from None
+    print(text)
 
 
 def cmd_validate(args) -> int:
@@ -137,7 +144,7 @@ def cmd_crossratio(args) -> int:
 
 def cmd_spectrum(args) -> int:
     rep = load_rep(args.rep, args.tolerance)
-    samples = spectra.sample_spectrum(rep, args.max_length, threads=args.threads)
+    samples = spectra.sample_spectrum(rep, args.max_length)
     if args.out:
         with open(args.out, "w") as handle:
             spectra.write_spectrum_csv(samples, rep.n, handle)
@@ -149,7 +156,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_proper(args) -> int:
     rep = load_rep(args.rep, args.tolerance)
-    samples = spectra.sample_spectrum(rep, args.max_length, threads=args.threads)
+    samples = spectra.sample_spectrum(rep, args.max_length)
     report = spectra.properness_diagnostic(samples)
     _emit({"horizon": report.horizon, "functional": _vec(report.functional),
            "margin": float(report.margin), "skipped_count": report.skipped_count,
@@ -229,13 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep")
     p.add_argument("--max-length", type=int, default=6)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("proper", help="properness diagnostic over a sampled spectrum")
     p.add_argument("rep")
     p.add_argument("--max-length", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_proper)
 
     p = sub.add_parser("limit", help="cross-ratio limit formula experiment")

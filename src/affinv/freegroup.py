@@ -8,6 +8,7 @@ inverses, as in "abA".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,14 +156,63 @@ class AffineRepresentation:
         self.rho = [np.asarray(g, dtype=float).reshape(self.n, self.n) for g in self.rho]
         self.u = [np.asarray(y, dtype=float).reshape(self.n, self.n) for y in self.u]
         for i, (g, y) in enumerate(zip(self.rho, self.u)):
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(y))):
+                raise ValueError(f"generator {i}: rho and u must be finite")
             if not numkernel.is_unimodular(g, tol=self.tol):
                 raise ValueError(f"generator {i}: rho is not unimodular (det {np.linalg.det(g):.12g})")
             if not numkernel.is_traceless(y, tol=self.tol):
                 raise ValueError(f"generator {i}: u is not traceless (trace {np.trace(y):.12g})")
-        self._rho_inv = [np.linalg.inv(g) for g in self.rho]
+        limit = numkernel.PRODUCT_CONDITION_LIMIT
+        self._letters = _letter_table([(g, numkernel.inverse(g, condition_limit=limit), y)
+                                       for g, y in zip(self.rho, self.u)])
 
 
-# An affine pair is a tuple (g, Y): the map X -> g X g^{-1} + Y on sl(n,R).
+# An affine pair (g, Y) is the map X -> g X g^{-1} + Y on sl(n,R).  Products
+# are formed on triples (g, g^{-1}, Y), so that no product ever needs a
+# solve.  The triple law uses only @, + and unary -, and serves numpy float64
+# arrays and mpmath matrices alike.
+
+def _mul(t1, t2):
+    g1, h1, y1 = t1
+    g2, h2, y2 = t2
+    return g1 @ g2, h2 @ h1, y1 + g1 @ y2 @ h1
+
+
+def _inv(t):
+    g, h, y = t
+    return h, g, -(h @ y @ g)
+
+
+def _pow(t, m: int):
+    """t^m by repeated squaring, for m >= 1."""
+    result = None
+    while True:
+        if m & 1:
+            result = t if result is None else _mul(result, t)
+        m >>= 1
+        if not m:
+            return result
+        t = _mul(t, t)
+
+
+def _letter_table(triples) -> dict:
+    """{letter: triple} for generator triples and their inverses."""
+    table = {}
+    for i, t in enumerate(triples):
+        table[i + 1] = t
+        table[-(i + 1)] = _inv(t)
+    return table
+
+
+def _product(table: dict, letters):
+    """Left-to-right product of the triples of a nonempty letter sequence."""
+    try:
+        triples = [table[letter] for letter in letters]
+    except KeyError as exc:
+        raise UnknownLetter(f"letter {exc.args[0]} outside alphabet of size "
+                            f"{len(table) // 2}") from None
+    return functools.reduce(_mul, triples)
+
 
 def affine_identity(n: int):
     return np.eye(n), np.zeros((n, n))
@@ -176,37 +226,27 @@ def affine_mul(pair1, pair2):
 
 def affine_inv(pair):
     g, y = pair
-    ginv = np.linalg.inv(g)
-    return ginv, -numkernel.adjoint(ginv, y)
+    ginv, _, yinv = _inv((g, numkernel.inverse(g), y))
+    return ginv, yinv
 
 
 def affine_pow(pair, m: int):
     """(g,Y)^m by repeated squaring; m may be negative."""
-    if m < 0:
-        return affine_pow(affine_inv(pair), -m)
-    result = affine_identity(pair[0].shape[0])
-    base = pair
-    while m:
-        if m & 1:
-            result = affine_mul(result, base)
-        base_next = affine_mul(base, base) if m > 1 else base
-        base = base_next
-        m >>= 1
-    return result
+    if m == 0:
+        return affine_identity(pair[0].shape[0])
+    g, y = pair
+    t = (g, numkernel.inverse(g), y)
+    g, _, y = _pow(t if m > 0 else _inv(t), abs(m))
+    return g, y
 
 
 def eval_affine(rep: AffineRepresentation, word: Word):
-    """Evaluate a word: left-to-right product of generator pairs."""
-    g = np.eye(rep.n)
-    y = np.zeros((rep.n, rep.n))
-    for letter in word.letters:
-        idx = abs(letter) - 1
-        if idx >= rep.k:
-            raise UnknownLetter(f"letter {letter} outside alphabet of size {rep.k}")
-        if letter > 0:
-            pair = (rep.rho[idx], rep.u[idx])
-        else:
-            ginv = rep._rho_inv[idx]
-            pair = (ginv, -numkernel.adjoint(ginv, rep.u[idx]))
-        g, y = affine_mul((g, y), pair)
+    """Evaluate a word: left-to-right product of generator pairs.  Raises
+    Singular when the product is too ill-conditioned for float64."""
+    if not word.letters:
+        return affine_identity(rep.n)
+    g, h, y = _product(rep._letters, word.letters)
+    if not np.linalg.norm(g) * np.linalg.norm(h) < numkernel.PRODUCT_CONDITION_LIMIT:
+        raise numkernel.Singular(f"a word of length {len(word)} is too ill-conditioned "
+                                 "for float64")
     return g, y

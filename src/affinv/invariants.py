@@ -14,7 +14,6 @@ import numpy as np
 
 from . import cartan, numkernel
 from .cartan import Flag, NotTransverse
-from .freegroup import AffineRepresentation, Word, eval_affine
 from .numkernel import LoxodromicData, eigen_loxodromic
 
 
@@ -28,11 +27,6 @@ def margulis_invariant(g, y, *, lox: LoxodromicData | None = None) -> np.ndarray
         lox = eigen_loxodromic(np.asarray(g, dtype=float))
     w = numkernel.solve(lox.frame, np.asarray(y, dtype=float) @ lox.frame)
     return np.diag(w).copy()
-
-
-def margulis_of_word(rep: AffineRepresentation, word: Word) -> np.ndarray:
-    g, y = eval_affine(rep, word)
-    return margulis_invariant(g, y)
 
 
 def invariant_affine_point(g, y, *, lox: LoxodromicData | None = None) -> np.ndarray:

@@ -17,6 +17,9 @@ DEFAULT_TOL = 1e-9          # generic relative comparisons (transversality, det,
 MODULUS_GAP_TOL = 1e-9      # minimal relative gap between eigenvalue moduli
 REALNESS_TOL = 1e-8         # |Im lambda| <= REALNESS_TOL * |lambda| counts as real
 CONDITION_LIMIT = 1e12      # linear solves refuse anything worse than this
+# Word products refuse |g| |g^{-1}| (Frobenius) from here on: float64 can no
+# longer tell g from a singular matrix, and its small eigenvalues are noise.
+PRODUCT_CONDITION_LIMIT = 1.0 / np.finfo(float).eps
 
 
 class NumericalDegeneracy(Exception):

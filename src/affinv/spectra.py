@@ -6,22 +6,25 @@ projection, and singular-value gap probes.
 The limit and convexity experiments evaluate Margulis invariants of words
 like g^16 h^16 whose translation parts are astronomically larger than the
 invariant itself (the diagonal part survives a cancellation of ~50 orders of
-magnitude at lam=3, N=16).  Those two experiments therefore run the same
-formulas through adaptive-precision arithmetic; everything else is float64.
+magnitude at lam=3, N=16).  Those two experiments therefore form the power
+words with the same affine group law in mpmath, at a precision fixed in
+advance from the Cartan projections of the base words; everything else is
+float64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from . import cartan, numkernel
-from .freegroup import (AffineRepresentation, Word, cyclic_reduce,
-                        enumerate_conjugacy_reps, eval_affine)
+from .freegroup import (AffineRepresentation, Word, _letter_table, _mul, _pow,
+                        _product, cyclic_reduce, enumerate_conjugacy_reps,
+                        eval_affine)
 from .invariants import affine_fixed_parabolics, cross_ratio, margulis_invariant
 from .numkernel import ComplexSpectrum, ModulusCollision, Singular
 
@@ -55,18 +58,12 @@ def _sample_one(rep: AffineRepresentation, word: Word) -> SpectrumSample:
     return SpectrumSample(word, len(word), jd, m, "ok")
 
 
-def sample_spectrum(rep: AffineRepresentation, max_length: int,
-                    threads: int = 1) -> list[SpectrumSample]:
+def sample_spectrum(rep: AffineRepresentation, max_length: int) -> list[SpectrumSample]:
     """Jordan projections and Margulis invariants over all conjugacy class
     representatives of cyclic length <= max_length, in deterministic
     enumeration order.  Non-loxodromic words are recorded as skipped, never
-    dropped.  Parallel evaluation preserves the order (and hence the bytes of
-    any serialized output)."""
-    words = list(enumerate_conjugacy_reps(rep.k, max_length))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda w: _sample_one(rep, w), words))
-    return [_sample_one(rep, w) for w in words]
+    dropped."""
+    return [_sample_one(rep, w) for w in enumerate_conjugacy_reps(rep.k, max_length)]
 
 
 def _fmt(value: float) -> str:
@@ -189,49 +186,7 @@ def properness_diagnostic(samples, *, functionals=None, horizon: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# Adaptive-precision evaluation for power words
-
-def _mp_matrix(a: np.ndarray) -> mpmath.matrix:
-    n, m = a.shape
-    out = mpmath.matrix(n, m)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = mpmath.mpf(float(a[i, j]))
-    return out
-
-
-def _mp_affine_mul(p1, p2):
-    g1, y1 = p1
-    g2, y2 = p2
-    return g1 * g2, y1 + g1 * y2 * g1 ** -1
-
-
-def _mp_affine_pow(pair, m: int):
-    n = pair[0].rows
-    result = (mpmath.eye(n), mpmath.zeros(n))
-    base = pair
-    while m:
-        if m & 1:
-            result = _mp_affine_mul(result, base)
-        if m > 1:
-            base = _mp_affine_mul(base, base)
-        m >>= 1
-    return result
-
-
-def _mp_eval(rep: AffineRepresentation, word: Word):
-    n = rep.n
-    gens = [(_mp_matrix(g), _mp_matrix(y)) for g, y in zip(rep.rho, rep.u)]
-    pair = (mpmath.eye(n), mpmath.zeros(n))
-    for letter in word.letters:
-        g, y = gens[abs(letter) - 1]
-        if letter > 0:
-            pair = _mp_affine_mul(pair, (g, y))
-        else:
-            ginv = g ** -1
-            pair = _mp_affine_mul(pair, (ginv, -(ginv * y * g)))
-    return pair
-
+# Extended-precision evaluation for power words
 
 def _mp_margulis(pair) -> np.ndarray:
     g, y = pair
@@ -242,6 +197,10 @@ def _mp_margulis(pair) -> np.ndarray:
         if abs(mpmath.im(v)) > 1e-12 * scale:
             raise ComplexSpectrum("power word left the real-split locus")
     order = sorted(range(n), key=lambda i: -abs(values[i]))
+    moduli = [abs(values[i]) for i in order]
+    for big, small in zip(moduli, moduli[1:]):
+        if big - small <= numkernel.MODULUS_GAP_TOL * small:
+            raise ModulusCollision("power word has colliding eigenvalue moduli")
     frame = mpmath.matrix(n, n)
     for col, i in enumerate(order):
         for row in range(n):
@@ -250,31 +209,26 @@ def _mp_margulis(pair) -> np.ndarray:
     return np.array([float(mpmath.re(w[i, i])) for i in range(n)])
 
 
-def _mp_magnitude(pair) -> float:
-    worst = mpmath.mpf(1)
-    for mat in pair:
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                worst = max(worst, abs(mat[i, j]))
-    return float(mpmath.log10(worst))
-
-
 def _margulis_of_power_pair(rep, base_words, powers):
-    """Margulis invariants of prod_i base_words[i]**powers[i], computed at a
-    precision adapted to the magnitude of the translation part."""
-    with mpmath.workdps(60):
-        pairs = [_mp_eval(rep, w) for w in base_words]
-        total = (mpmath.eye(rep.n), mpmath.zeros(rep.n))
-        for pair, m in zip(pairs, powers):
-            total = _mp_affine_mul(total, _mp_affine_pow(pair, m))
-        digits = _mp_magnitude(total)
-    dps = 40 + max(0, int(math.ceil(digits)))
-    with mpmath.workdps(dps):
-        pairs = [_mp_eval(rep, w) for w in base_words]
-        total = (mpmath.eye(rep.n), mpmath.zeros(rep.n))
-        for pair, m in zip(pairs, powers):
-            total = _mp_affine_mul(total, _mp_affine_pow(pair, m))
-        return _mp_margulis(total)
+    """Margulis invariants of prod_i base_words[i]**powers[i] (powers >= 1).
+
+    The invariant survives a cancellation by a factor of at most exp(s),
+    s = sum_i m_i (k_1 - k_n)(w_i) with k the Cartan projection: k_1 is
+    subadditive and k_n superadditive, so g X g^{-1} grows by at most exp(s)
+    over the product.  The product is therefore formed once, at s / ln 10
+    digits plus 40 guard digits, with the same triple law as float64 word
+    evaluation."""
+    spread = sum(m * np.ptp(cartan.cartan_projection(eval_affine(rep, w)[0]))
+                 for w, m in zip(base_words, powers))
+    with mpmath.workdps(40 + math.ceil(spread / math.log(10))):
+        gens = []
+        for g, y in zip(rep.rho, rep.u):
+            g = mpmath.matrix(g.tolist())
+            gens.append((g, g ** -1, mpmath.matrix(y.tolist())))
+        table = _letter_table(gens)
+        total = functools.reduce(_mul, [_pow(_product(table, w.letters), m)
+                                        for w, m in zip(base_words, powers)])
+        return _mp_margulis((total[0], total[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -148,14 +148,14 @@ def test_spectrum_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("a,1,0.69314718055994529,")
 
 
-def test_spectrum_stdout_and_threads_agree(capsys):
-    code, serial, _ = run(capsys, "spectrum", fixture("schottky_n2.json"),
+def test_spectrum_stdout_is_deterministic(capsys):
+    code, first, _ = run(capsys, "spectrum", fixture("schottky_n2.json"),
+                         "--max-length", "3")
+    assert code == 0
+    code, second, _ = run(capsys, "spectrum", fixture("schottky_n2.json"),
                           "--max-length", "3")
     assert code == 0
-    code, threaded, _ = run(capsys, "spectrum", fixture("schottky_n2.json"),
-                            "--max-length", "3", "--threads", "2")
-    assert code == 0
-    assert serial == threaded
+    assert first == second
 
 
 def test_proper_verdicts(capsys):
@@ -170,6 +170,40 @@ def test_proper_verdicts(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "PROPER_CANDIDATE"
     assert payload["margin"] > 1e-2
+
+
+def test_non_finite_cocycle_is_a_schema_error(tmp_path, capsys):
+    with open(fixture("schottky_n2.json")) as handle:
+        rep = json.load(handle)
+    rep["generators"][0]["u"][1] = float("inf")
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    for argv in (("invariant", str(path), "a"), ("proper", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SchemaError"
+
+
+def test_crossratio_rejects_non_finite_base(tmp_path, capsys):
+    spaces = [{"frame": [1.0, 0.0, 0.0, 1.0], "base": [0.0] * 4} for _ in range(4)]
+    spaces[2]["base"][0] = float("nan")
+    path = tmp_path / "spaces.json"
+    path.write_text(json.dumps({"n": 2, "spaces": spaces}))
+    code, _, err = run(capsys, "crossratio", str(path))
+    assert code == 2
+    assert "finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("gamma,eta,max_power", [("aa", "b", 128), ("bb", "ab", 256)])
+def test_limit_command_at_high_powers(capsys, gamma, eta, max_power):
+    # the final products span up to about 370 and 900 decimal orders
+    code, out, _ = run(capsys, "limit", fixture("schottky_n2.json"), gamma, eta,
+                       "--max-power", str(max_power))
+    assert code == 0
+    last = json.loads(out)[-1]
+    assert last["power"] == max_power
+    assert last["gap"] <= 1e-6 * (1 + np.linalg.norm(last["beta_target"]))
 
 
 def test_limit_command(capsys):
@@ -191,6 +225,15 @@ def test_deriv_command(capsys):
     np.testing.assert_allclose(payload["margulis"],
                                [np.log(3.0), -np.log(3.0)], rtol=0, atol=1e-12)
     assert payload["error"] < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_result_is_a_degeneracy(capsys):
+    # a zero step makes the finite difference 0/0
+    code, out, err = run(capsys, "deriv", fixture("schottky_n2.json"), "a", "0", "0")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "NumericalDegeneracy"
 
 
 def test_deriv_direction_out_of_range(capsys):

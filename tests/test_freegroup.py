@@ -11,7 +11,8 @@ from affinv.freegroup import (AffineRepresentation, UnknownLetter, Word,
                               affine_pow, cyclic_reduce,
                               enumerate_conjugacy_reps, eval_affine,
                               reduce_letters)
-from helpers import schottky_pair, traceless, unimodular
+from affinv.invariants import margulis_invariant
+from helpers import lifted_schottky_rep, schottky_pair, traceless, unimodular
 
 
 def brute_conjugacy_reps(k, max_length):
@@ -114,6 +115,39 @@ def test_representation_validation():
         AffineRepresentation(2, 1, [2 * np.eye(2)], [np.zeros((2, 2))])
     with pytest.raises(ValueError, match="traceless"):
         AffineRepresentation(2, 1, [a], [np.eye(2)])
+
+
+def test_representation_rejects_non_finite_entries():
+    a, _ = schottky_pair()
+    for bad in (np.inf, -np.inf, np.nan):
+        y = np.zeros((2, 2))
+        y[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AffineRepresentation(2, 1, [a], [y])
+        g = a.copy()
+        g[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AffineRepresentation(2, 1, [g], [np.zeros((2, 2))])
+
+
+def test_eval_affine_long_power_on_the_n3_lift():
+    # cond(a^8) is about 2e15 here: evaluation must not need a guarded solve
+    rep = lifted_schottky_rep(3)
+    g, y = eval_affine(rep, Word.from_string("aaaaaaaa"))
+    m1 = margulis_invariant(*eval_affine(rep, Word.from_string("a")))
+    m8 = margulis_invariant(g, y)
+    np.testing.assert_allclose(m8, 8 * m1, rtol=0,
+                               atol=1e-8 * (1 + np.linalg.norm(m8)))
+
+
+def test_eval_affine_refuses_products_beyond_float64():
+    # float64 cannot hold (ab)^15: its computed product has determinant
+    # about -8e4 instead of 1, so its Jordan projection would be noise
+    a, b = schottky_pair()
+    rep = AffineRepresentation(2, 2, [a, b], [np.zeros((2, 2))] * 2)
+    eval_affine(rep, Word.from_string("ab" * 10))
+    with pytest.raises(numkernel.Singular):
+        eval_affine(rep, Word.from_string("ab" * 15))
 
 
 def test_affine_group_laws():

@@ -2,6 +2,7 @@
 
 import io
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from affinv.cartan import NotTransverse, omega0
 from affinv.freegroup import (AffineRepresentation, Word,
                               enumerate_conjugacy_reps, eval_affine)
 from affinv.invariants import margulis_invariant
+from affinv.numkernel import ModulusCollision
 from affinv.spectra import (EmptySampleSet, anosov_gap_probe, convexity_probe,
                             derivative_experiment, limit_formula_experiment,
                             properness_diagnostic, sample_spectrum,
@@ -59,16 +61,6 @@ def test_sample_spectrum_marks_degenerate_words():
     assert {s.reason for s in samples} == {"modulus-collision"}
     with pytest.raises(EmptySampleSet):
         properness_diagnostic(samples)
-
-
-def test_parallel_sampling_matches_serial():
-    rep = derivative_cocycle_rep()
-    serial = sample_spectrum(rep, 4, threads=1)
-    parallel = sample_spectrum(rep, 4, threads=3)
-    buf_s, buf_p = io.StringIO(), io.StringIO()
-    write_spectrum_csv(serial, rep.n, buf_s)
-    write_spectrum_csv(parallel, rep.n, buf_p)
-    assert buf_s.getvalue() == buf_p.getvalue()
 
 
 def test_spectrum_csv_golden():
@@ -121,6 +113,21 @@ def test_limit_formula_rejects_shared_axes():
     with pytest.raises(NotTransverse):
         limit_formula_experiment(rep, Word.from_string("a"),
                                  Word.from_string("a"), max_power=2)
+
+
+def test_limit_formula_converges_on_the_n4_lift():
+    # the product a^64 b^64 spans up to about 370 decimal orders at n=4
+    rep = lifted_schottky_rep(4)
+    rows = limit_formula_experiment(rep, Word.from_string("a"),
+                                    Word.from_string("b"), max_power=64)
+    assert [r.power for r in rows] == [1, 2, 4, 8, 16, 32, 64]
+    assert rows[-1].gap <= 1e-6 * (1 + np.linalg.norm(rows[-1].beta_target))
+
+
+def test_mp_margulis_rejects_colliding_moduli():
+    with mpmath.workdps(30):
+        with pytest.raises(ModulusCollision):
+            spectra._mp_margulis((-mpmath.eye(2), mpmath.zeros(2)))
 
 
 def test_limit_formula_zero_cocycle():
