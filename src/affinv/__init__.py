@@ -2,8 +2,8 @@
 Cartan projections, Margulis invariants, affine cross and triple ratios, and
 properness diagnostics for representations of free groups."""
 
-from . import cartan, cli, freegroup, fuchsian, invariants, numkernel, spectra
+from . import cartan, freegroup, fuchsian, invariants, numkernel, spectra
 
-__all__ = ["cartan", "cli", "freegroup", "fuchsian", "invariants",
-           "numkernel", "spectra"]
+__all__ = ["cartan", "freegroup", "fuchsian", "invariants", "numkernel",
+           "spectra"]
 __version__ = "0.1.0"

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel
-from .numkernel import (DEFAULT_TOL, MODULUS_GAP_TOL, LoxodromicData,
-                        ModulusCollision, Singular)
+from .numkernel import DEFAULT_TOL, MODULUS_GAP_TOL, LoxodromicData, Singular
 
 
 class NotTransverse(numkernel.NumericalDegeneracy):
@@ -25,15 +24,7 @@ class NotTransverse(numkernel.NumericalDegeneracy):
 def jordan_projection(g, *, gap_tol: float = MODULUS_GAP_TOL) -> np.ndarray:
     """Sorted log eigenvalue moduli (decreasing).  Requires pairwise distinct
     moduli; a complex conjugate pair collides and is rejected the same way."""
-    g = np.asarray(g, dtype=float)
-    values = np.linalg.eigvals(g)
-    moduli = np.sort(np.abs(values))[::-1]
-    for i in range(len(moduli) - 1):
-        if moduli[i + 1] == 0.0:
-            raise Singular("zero eigenvalue modulus")
-        if moduli[i] / moduli[i + 1] - 1.0 <= gap_tol:
-            raise ModulusCollision("eigenvalue moduli collide")
-    return np.log(moduli)
+    return np.log(np.abs(numkernel.eigen_loxodromic(g, gap_tol=gap_tol).eigenvalues))
 
 
 def cartan_projection(g) -> np.ndarray:
@@ -157,7 +148,9 @@ def transverse_frame(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> np.ndarra
 def co_neutral(f_i: Flag, f_j: Flag, z, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Co-neutral map of the transverse pair (F_i, F_j) applied to traceless z:
     the diagonal part of z in the transverse frame.  Kills the nilpotent
-    pieces attached to F_i (upper) and F_j (lower)."""
+    pieces attached to F_i (upper) and F_j (lower).  Linear in z; swapping
+    the pair reverses the result, since the frame of (F_j, F_i) is that of
+    (F_i, F_j) with its columns reversed and rescaled."""
     h = transverse_frame(f_i, f_j, tol=tol)
     w = numkernel.solve(h, np.asarray(z, dtype=float) @ h)
     return np.diag(w).copy()
@@ -166,7 +159,7 @@ def co_neutral(f_i: Flag, f_j: Flag, z, *, tol: float = DEFAULT_TOL) -> np.ndarr
 def neutral(f_i: Flag, f_j: Flag, y0, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Neutral map: embed a Cartan vector back along the transverse pair."""
     h = transverse_frame(f_i, f_j, tol=tol)
-    return h @ np.diag(np.asarray(y0, dtype=float)) @ np.linalg.inv(h)
+    return numkernel.adjoint(h, np.diag(np.asarray(y0, dtype=float)))
 
 
 def borel_residual(f: Flag, z) -> float:

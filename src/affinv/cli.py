@@ -179,6 +179,8 @@ def cmd_deriv(args) -> int:
     word = Word.from_string(args.word, rep.k)
     if not 0 <= args.direction < rep.k:
         raise SchemaError(f"direction index {args.direction} outside 0..{rep.k - 1}")
+    if not np.isfinite(args.step):
+        raise SchemaError(f"step must be finite, got {args.step}")
     g, _ = eval_affine(rep, word)
     probe = spectra.derivative_experiment(g, rep.u[args.direction], t=args.step)
     _emit({"finite_difference": _vec(probe.finite_difference),
@@ -279,6 +281,9 @@ def _fail(code: int, kind: str, message: str) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0.0):
+        return _fail(2, "SchemaError",
+                     f"--tolerance must be finite and positive, got {args.tolerance}")
     try:
         return args.func(args)
     except OSError as exc:

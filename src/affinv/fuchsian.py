@@ -158,6 +158,8 @@ def lift_representation(n: int, rho_2, u_2):
     """Lift SL(2) generator data (rho_i, u_i) through the irreducible
     representation: linear parts via sym_rep, translation parts via its
     derivative at the identity."""
+    if n < 2:
+        raise OutOfRange(f"need n >= 2, got n={n}")
     rho = [sym_rep(n, g) for g in rho_2]
     u = [sym_rep_lie(n, y) for y in u_2]
     return rho, u

@@ -3,7 +3,7 @@ SL(n,R) x sl(n,R) acting on sl(n,R) by X -> g X g^{-1} + Y.
 
 An affine parabolic space is a point of sl(n,R) plus the Borel subalgebra of
 a full flag; the cross ratio of four pairwise transverse such spaces is a
-Cartan vector, computed from co-neutral maps of the six flag pairs.
+Cartan vector, computed from co-neutral maps of the four mixed flag pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def invariant_affine_point(g, y, *, lox: LoxodromicData | None = None) -> np.nda
         for j in range(n):
             if i != j:
                 x[i, j] = w[i, j] / (1.0 - lam[i] / lam[j])
-    return h @ x @ np.linalg.inv(h)
+    return numkernel.adjoint(h, x)
 
 
 @dataclass(frozen=True)
@@ -104,50 +104,39 @@ def affine_normal_form(g, y):
     return (lox.frame, x), signs, m
 
 
-def _check_pairwise_transverse(spaces, tol: float):
-    for a in range(len(spaces)):
-        for b in range(a + 1, len(spaces)):
-            if not cartan.is_transverse(spaces[a].flag, spaces[b].flag, tol=tol):
-                raise NotTransverse(f"flags {a} and {b} are not transverse")
-
-
 def cross_ratio(a1: AffineParabolic, a2: AffineParabolic, a3: AffineParabolic,
                 a4: AffineParabolic, *, tol: float = numkernel.DEFAULT_TOL) -> np.ndarray:
     """Affine cross ratio beta(A1,A2,A3,A4) of four pairwise transverse
     affine parabolic spaces, as a Cartan vector.
 
     Evaluated through co-neutral maps of the four mixed flag pairs applied to
-    the base points; the value does not depend on the choice of base point
-    inside each space.
+    base point differences; the value does not depend on the choice of base
+    point inside each space.  The mixed pairs are checked by their own
+    co-neutral maps, the pairs (A1,A2) and (A3,A4) here.
     """
-    spaces = (a1, a2, a3, a4)
-    _check_pairwise_transverse(spaces, tol)
-    f = [s.flag for s in spaces]
-    x = [s.base for s in spaces]
-
-    def nu_star(i: int, j: int, z) -> np.ndarray:
-        return cartan.co_neutral(f[i], f[j], z, tol=tol)
-
-    beta = (nu_star(0, 3, x[0]) - nu_star(0, 2, x[0])) \
-        + (nu_star(1, 2, x[1]) - nu_star(1, 3, x[1])) \
-        - (nu_star(1, 2, x[2]) - nu_star(0, 2, x[2])) \
-        - (nu_star(0, 3, x[3]) - nu_star(1, 3, x[3]))
-    return beta
+    f = [s.flag for s in (a1, a2, a3, a4)]
+    x = [s.base for s in (a1, a2, a3, a4)]
+    for i, j in ((0, 1), (2, 3)):
+        if not cartan.is_transverse(f[i], f[j], tol=tol):
+            raise NotTransverse(f"flags {i} and {j} are not transverse")
+    return cartan.co_neutral(f[0], f[3], x[0] - x[3], tol=tol) \
+        - cartan.co_neutral(f[0], f[2], x[0] - x[2], tol=tol) \
+        + cartan.co_neutral(f[1], f[2], x[1] - x[2], tol=tol) \
+        - cartan.co_neutral(f[1], f[3], x[1] - x[3], tol=tol)
 
 
 def triple_ratio(a2: AffineParabolic, a3: AffineParabolic, a4: AffineParabolic,
                  *, tol: float = numkernel.DEFAULT_TOL) -> np.ndarray:
     """Affine triple ratio delta(A2,A3,A4): cyclically invariant, reverses
-    sign under a transposition, and is fixed by the longest Weyl element."""
-    spaces = (a2, a3, a4)
-    _check_pairwise_transverse(spaces, tol)
-    f = [s.flag for s in spaces]
-    x = [s.base for s in spaces]
+    sign under a transposition, and is fixed by the longest Weyl element.
 
-    def nu_star(i: int, j: int, z) -> np.ndarray:
-        return cartan.co_neutral(f[i], f[j], z, tol=tol)
-
-    delta = nu_star(0, 1, x[0] - x[1]) + nu_star(1, 0, x[0] - x[1]) \
-        + nu_star(1, 2, x[1] - x[2]) + nu_star(2, 1, x[1] - x[2]) \
-        + nu_star(2, 0, x[2] - x[0]) + nu_star(0, 2, x[2] - x[0])
+    Sum over the cyclic pairs (i,j) of nu*_ij(x_i - x_j) + nu*_ji(x_i - x_j),
+    where the second term is the first reversed.
+    """
+    f = [s.flag for s in (a2, a3, a4)]
+    x = [s.base for s in (a2, a3, a4)]
+    delta = np.zeros(f[0].n)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        c = cartan.co_neutral(f[i], f[j], x[i] - x[j], tol=tol)
+        delta += c + c[::-1]
     return delta

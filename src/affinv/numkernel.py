@@ -136,8 +136,13 @@ def singular_values(g) -> np.ndarray:
 
 
 def matrix_exp(x) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
-    return scipy.linalg.expm(_as_square(x))
+    """Matrix exponential (scaling-and-squaring via scipy); raises
+    NumericalDegeneracy when the result overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scipy.linalg.expm(_as_square(x))
+    if not np.all(np.isfinite(out)):
+        raise NumericalDegeneracy("matrix exponential is not finite")
+    return out
 
 
 def solve(a, b, *, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:

@@ -311,7 +311,8 @@ def derivative_experiment(g, x, t: float = 1e-4) -> DerivativeProbe:
     x = np.asarray(x, dtype=float)
     jd_plus = cartan.jordan_projection(g @ numkernel.matrix_exp(t * x))
     jd_minus = cartan.jordan_projection(g @ numkernel.matrix_exp(-t * x))
-    fd = (jd_plus - jd_minus) / (2.0 * t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 gives NaN
+        fd = (jd_plus - jd_minus) / (2.0 * t)
     m = margulis_invariant(g, x)
     return DerivativeProbe(finite_difference=fd, margulis=m,
                            error=float(np.linalg.norm(fd - m)))

@@ -176,6 +176,23 @@ def test_neutral_conetral_roundtrip_and_kernel():
                                    rtol=0, atol=1e-9)
 
 
+def test_co_neutral_swap_reverses():
+    # the frame of (G, F) is the frame of (F, G) reversed and rescaled
+    rng = np.random.default_rng(21)
+    checked = 0
+    for trial in range(40):
+        n = 2 + trial % 4
+        f, g = Flag(frame(n, rng, 0.8)), Flag(frame(n, rng, 0.8))
+        if not is_transverse(f, g):
+            continue
+        z = traceless(n, rng)
+        c = co_neutral(f, g, z)
+        np.testing.assert_allclose(co_neutral(g, f, z), c[::-1], rtol=0,
+                                   atol=1e-9 * (1 + np.linalg.norm(c)))
+        checked += 1
+    assert checked >= 30
+
+
 def test_co_neutral_on_model_flags():
     # standard/reversed pair: the maps reduce to plain diagonal extraction
     n = 4

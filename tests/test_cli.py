@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +66,28 @@ def test_tolerance_flag_reaches_validation(tmp_path, capsys):
     assert code == 2
     code, out, _ = run(capsys, "--tolerance", "1e-5", "validate", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_tolerance_must_be_finite_and_positive(capsys, value):
+    code, out, err = run(capsys, "--tolerance", value, "validate",
+                         fixture("schottky_n2.json"))
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in json.loads(err)["message"]
+
+
+def test_module_entry_point_keeps_stderr_empty():
+    # running the module from a checkout must not print a runpy warning
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "affinv.cli", "validate",
+                           fixture("diag_n3.json")],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"status": "ok", "n": 3, "k": 1}
 
 
 def test_invariant_golden_values(capsys):
@@ -236,6 +260,17 @@ def test_non_finite_result_is_a_degeneracy(capsys):
     assert json.loads(err)["error"] == "NumericalDegeneracy"
 
 
+@pytest.mark.parametrize("step,code,kind", [
+    ("nan", 2, "SchemaError"), ("inf", 2, "SchemaError"),
+    ("800", 3, "NumericalDegeneracy"), ("1e300", 3, "NumericalDegeneracy")])
+def test_deriv_rejects_unusable_steps(capsys, step, code, kind):
+    # non-finite steps are refused up front; huge ones overflow exp(t u)
+    got, out, err = run(capsys, "deriv", fixture("schottky_n2.json"), "a", "0", step)
+    assert got == code
+    assert out == ""
+    assert json.loads(err)["error"] == kind
+
+
 def test_deriv_direction_out_of_range(capsys):
     code, _, err = run(capsys, "deriv", fixture("schottky_n2.json"), "a", "5")
     assert code == 2
@@ -267,6 +302,17 @@ def test_fuchsian_lift_roundtrip(tmp_path, capsys):
     np.testing.assert_allclose(payload["jordan"],
                                [2 * np.log(3.0), 0.0, -2 * np.log(3.0)],
                                rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_fuchsian_rejects_lift_dimension_below_two(tmp_path, capsys, n):
+    out_path = tmp_path / "lift.json"
+    code, out, err = run(capsys, "fuchsian", "--out", str(out_path), n,
+                         fixture("schottky_n2.json"))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfRange"
+    assert not out_path.exists()
 
 
 def test_fuchsian_rejects_wrong_input_dimension(capsys):

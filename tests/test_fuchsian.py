@@ -169,6 +169,13 @@ def test_lw_direction_out_of_range():
             lw_direction_exact(n, k)
 
 
+def test_lift_representation_rejects_dimension_below_two():
+    a, b = schottky_generators(3.0, np.pi / 2)
+    for n in (1, 0, -2):
+        with pytest.raises(OutOfRange):
+            lift_representation(n, [a, b], [np.zeros((2, 2))] * 2)
+
+
 def test_lift_representation_jordan_projection():
     a, b = schottky_generators(3.0, np.pi / 2)
     rho, u = lift_representation(3, [a, b], [np.log(3.0) * np.diag([1.0, -1.0]),

@@ -148,6 +148,29 @@ def test_cross_ratio_requires_transversality():
         cross_ratio(spaces[0], spaces[1], spaces[2], spaces[2])
 
 
+def degenerate_pair(spaces, i, j):
+    """Copy of spaces with space j moved onto the flag of space i."""
+    out = list(spaces)
+    out[j] = AffineParabolic(spaces[i].flag, spaces[j].base)
+    return out
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+def test_cross_ratio_checks_every_pair(i, j):
+    spaces = transverse_tuple(3, np.random.default_rng(17), 4)
+    cross_ratio(*spaces)
+    with pytest.raises(NotTransverse):
+        cross_ratio(*degenerate_pair(spaces, i, j))
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 2), (0, 2)])
+def test_triple_ratio_checks_every_pair(i, j):
+    spaces = transverse_tuple(3, np.random.default_rng(18), 3)
+    triple_ratio(*spaces)
+    with pytest.raises(NotTransverse):
+        triple_ratio(*degenerate_pair(spaces, i, j))
+
+
 def test_cross_ratio_base_point_independence():
     # moving a base point inside its own space leaves beta unchanged
     rng = np.random.default_rng(8)

@@ -118,6 +118,11 @@ def test_matrix_exp_against_series():
                                    rtol=1e-12, atol=1e-12)
 
 
+def test_matrix_exp_refuses_overflow():
+    with pytest.raises(numkernel.NumericalDegeneracy):
+        matrix_exp(np.diag([800.0, -800.0]))
+
+
 def test_adjoint_is_conjugation():
     rng = np.random.default_rng(7)
     for trial in range(20):
