@@ -284,6 +284,10 @@ def main(argv=None) -> int:
     if not (np.isfinite(args.tolerance) and args.tolerance > 0.0):
         return _fail(2, "SchemaError",
                      f"--tolerance must be finite and positive, got {args.tolerance}")
+    for size in ("max_length", "max_power"):  # of spectrum, proper and limit
+        if getattr(args, size, 1) < 1:
+            return _fail(2, "SchemaError", f"--{size.replace('_', '-')} must be at least 1, "
+                                           f"got {getattr(args, size)}")
     try:
         return args.func(args)
     except OSError as exc:

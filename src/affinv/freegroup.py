@@ -21,9 +21,10 @@ class UnknownLetter(Exception):
     pass
 
 
-def _letter_key(letter: int) -> tuple[int, int]:
-    # Lexicographic order of letters: a < A < b < B < ...
-    return (abs(letter), 0 if letter > 0 else 1)
+def _rank(letter: int) -> int:
+    """Position of a letter in the order a < A < b < B < ...: rank r ^ 1 is
+    the inverse of rank r."""
+    return 2 * abs(letter) - 1 - (letter > 0)
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -94,7 +95,7 @@ class Word:
         return out
 
     def sort_key(self):
-        return (len(self.letters), tuple(_letter_key(l) for l in self.letters))
+        return (len(self.letters), tuple(_rank(l) for l in self.letters))
 
 
 def cyclic_reduce(word: Word) -> Word:
@@ -105,38 +106,38 @@ def cyclic_reduce(word: Word) -> Word:
     return Word(tuple(letters))
 
 
-def _min_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
-    return min(rotations, key=lambda t: tuple(_letter_key(l) for l in t))
-
-
 def enumerate_conjugacy_reps(k: int, max_length: int):
     """Yield one representative per conjugacy class of cyclically reduced
     length 1..max_length: the lexicographically minimal rotation, in
     length-then-lex order.  Classes of w and w^{-1} are both emitted.
+
+    These are the freely and cyclically reduced necklaces over the letter
+    ranks, generated directly by the Fredricksen-Kessler-Maiorana recursion
+    (Ruskey, Savage & Wang, "Generating necklaces", J. Algorithms 1992).
     """
     if k < 1:
         raise ValueError("need at least one generator")
-    alphabet = sorted([i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)],
-                      key=_letter_key)
+    if max_length < 1:
+        return
+    alphabet = sorted((l for l in range(-k, k + 1) if l), key=_rank)  # alphabet[r] has rank r
+    by_length: list[list[Word]] = [[] for _ in range(max_length + 1)]
 
-    def extend(prefix: list[int], length: int):
-        if len(prefix) == length:
-            if prefix[0] != -prefix[-1]:  # cyclically reduced
-                letters = tuple(prefix)
-                if letters == _min_rotation(letters):
-                    yield Word(letters)
-            return
-        for letter in alphabet:
-            if prefix and letter == -prefix[-1]:
-                continue
-            prefix.append(letter)
-            yield from extend(prefix, length)
-            prefix.pop()
+    def extend(ranks: list[int], period: int):
+        # ranks is a freely reduced prenecklace whose longest Lyndon prefix
+        # has length period; it is a necklace when period divides its length.
+        t = len(ranks)
+        if t % period == 0 and ranks[0] != ranks[-1] ^ 1:
+            by_length[t].append(Word(tuple(alphabet[r] for r in ranks)))
+        if t < max_length:
+            least = ranks[t - period]
+            for r in range(least, 2 * k):
+                if r != ranks[-1] ^ 1:  # no extension of a cancelling prefix is reduced
+                    extend(ranks + [r], period if r == least else t + 1)
 
-    for length in range(1, max_length + 1):
-        for letter in alphabet:
-            yield from extend([letter], length)
+    for r in range(2 * k):
+        extend([r], 1)
+    for words in by_length:
+        yield from words
 
 
 @dataclass

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .freegroup import AffineRepresentation, enumerate_conjugacy_reps, eval_affine
 from .numkernel import DEFAULT_TOL
 
 
@@ -101,30 +102,14 @@ def schottky_generators(lam: float, theta: float) -> tuple[np.ndarray, np.ndarra
 
 def ping_pong_certificate(a, b, max_length: int = 8) -> bool:
     """Sampled freeness certificate: every reduced word of length <= max_length
-    in the pair evaluates to a matrix of trace magnitude > 2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mats = {1: a, -1: np.linalg.inv(a), 2: b, -2: np.linalg.inv(b)}
-
-    def walk(prefix_mat: np.ndarray, last: int, depth: int) -> bool:
-        if depth == 0:
-            return True
-        for letter in (1, -1, 2, -2):
-            if letter == -last:
-                continue
-            m = prefix_mat @ mats[letter]
-            if abs(np.trace(m)) <= 2.0:
-                return False
-            if not walk(m, letter, depth - 1):
-                return False
-        return True
-
-    for letter in (1, -1, 2, -2):
-        if abs(np.trace(mats[letter])) <= 2.0:
-            return False
-        if not walk(mats[letter], letter, max_length - 1):
-            return False
-    return True
+    in the pair evaluates to a matrix of trace magnitude > 2.  Trace is a class
+    function and each such word is conjugate to a conjugacy representative no
+    longer than itself, so checking the representatives is exact.  A pair
+    outside SL(2,R) raises ValueError, one beyond float64 raises Singular.
+    """
+    rep = AffineRepresentation(2, 2, [a, b], [np.zeros((2, 2))] * 2)
+    return all(abs(np.trace(eval_affine(rep, word)[0])) > 2.0
+               for word in enumerate_conjugacy_reps(2, max_length))
 
 
 def lw_direction_exact(n: int, k: int) -> list[Fraction]:

@@ -44,8 +44,8 @@ class SpectrumSample:
 
 
 def _sample_one(rep: AffineRepresentation, word: Word) -> SpectrumSample:
-    g, y = eval_affine(rep, word)
     try:
+        g, y = eval_affine(rep, word)
         lox = numkernel.eigen_loxodromic(g)
     except ComplexSpectrum:
         return SpectrumSample(word, len(word), None, None, "skipped", "complex-spectrum")
@@ -88,6 +88,9 @@ def write_spectrum_csv(samples, n: int, stream) -> None:
 
 # ---------------------------------------------------------------------------
 # Properness diagnostics
+
+SPHERE_GRID_SIZE = 1000    # dual-sphere directions tried for the hull support
+
 
 @dataclass(frozen=True)
 class PropernessReport:
@@ -135,15 +138,14 @@ def _simple_root_functionals(n: int) -> list[np.ndarray]:
     return out
 
 
-def properness_diagnostic(samples, *, functionals=None, horizon: int | None = None,
-                          tau_proper: float = 1e-3, tau_zero: float = 1e-6,
-                          grid_resolution: int = 1000) -> PropernessReport:
+def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
+                          tau_zero: float = 1e-6) -> PropernessReport:
     """Search for a unit dual functional whose pairing with every sampled
     length-normalized Margulis invariant stays above a margin.
 
-    Candidates are the simple-root functionals, a hull-support direction
-    fitted on a finite dual-sphere grid, and any user-supplied extras (all
-    normalized).  A word of length >= horizon/2 with normalized invariant
+    Candidates are the simple-root functionals and a hull-support direction
+    fitted on a finite dual-sphere grid (all normalized).  The horizon is the
+    longest sample; a word of length >= horizon/2 with normalized invariant
     below tau_zero is a non-properness signature and wins over any margin.
     """
     samples = list(samples)
@@ -151,21 +153,13 @@ def properness_diagnostic(samples, *, functionals=None, horizon: int | None = No
     if not ok:
         raise EmptySampleSet("no usable samples")
     n = len(ok[0].margulis)
-    if horizon is None:
-        horizon = max(s.length for s in samples)
+    horizon = max(s.length for s in samples)
 
     normalized = np.array([s.margulis / s.length for s in ok])
 
-    candidates = _simple_root_functionals(n)
-    basis = _zero_sum_basis(n)
-    grid = _sphere_grid(n - 1, grid_resolution) @ basis
-    pairings = normalized @ grid.T
-    hull = grid[int(np.argmax(pairings.min(axis=0)))]
-    candidates.append(hull)
-    if functionals is not None:
-        for f in functionals:
-            f = np.asarray(f, dtype=float)
-            candidates.append(f / np.linalg.norm(f))
+    grid = _sphere_grid(n - 1, SPHERE_GRID_SIZE) @ _zero_sum_basis(n)
+    hull = grid[int(np.argmax((normalized @ grid.T).min(axis=0)))]
+    candidates = _simple_root_functionals(n) + [hull]
 
     margins = [float(np.min(normalized @ f)) for f in candidates]
     best = int(np.argmax(margins))
@@ -309,8 +303,10 @@ def derivative_experiment(g, x, t: float = 1e-4) -> DerivativeProbe:
     against the Margulis invariant M(g, x)."""
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
-    jd_plus = cartan.jordan_projection(g @ numkernel.matrix_exp(t * x))
-    jd_minus = cartan.jordan_projection(g @ numkernel.matrix_exp(-t * x))
+    products = [g @ numkernel.matrix_exp(t * x), g @ numkernel.matrix_exp(-t * x)]
+    for product in products:  # past the float64 limit its Jordan projection is noise
+        numkernel.inverse(product, condition_limit=numkernel.PRODUCT_CONDITION_LIMIT)
+    jd_plus, jd_minus = map(cartan.jordan_projection, products)
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 gives NaN
         fd = (jd_plus - jd_minus) / (2.0 * t)
     m = margulis_invariant(g, x)

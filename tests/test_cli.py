@@ -271,6 +271,30 @@ def test_deriv_rejects_unusable_steps(capsys, step, code, kind):
     assert json.loads(err)["error"] == kind
 
 
+@pytest.mark.parametrize("step", ["20", "200", "400"])
+def test_deriv_refuses_products_beyond_float64(capsys, step):
+    # g exp(t u) is finite but past the float64 condition limit, where its
+    # Jordan projection (and the finite difference) would be noise
+    code, out, err = run(capsys, "deriv", fixture("schottky_n2.json"), "ab", "1", step)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "Singular"
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["spectrum", "--max-length", "-3"], "--max-length"),
+    (["spectrum", "--max-length", "0"], "--max-length"),
+    (["proper", "--max-length", "0"], "--max-length"),
+    (["limit", "a", "b", "--max-power", "0"], "--max-power")],
+    ids=["spectrum-negative", "spectrum-zero", "proper-zero", "limit-zero"])
+def test_sizes_below_one_are_schema_errors(capsys, argv, option):
+    code, out, err = run(capsys, argv[0], fixture("schottky_n2.json"), *argv[1:])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and option in error["message"]
+
+
 def test_deriv_direction_out_of_range(capsys):
     code, _, err = run(capsys, "deriv", fixture("schottky_n2.json"), "a", "5")
     assert code == 2

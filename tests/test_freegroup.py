@@ -100,6 +100,17 @@ def test_enumeration_matches_brute_force():
         assert all(len(w) <= L for w in map(Word, got))
 
 
+@pytest.mark.parametrize("k,longest", [(1, 6), (2, 7), (3, 4)])
+def test_enumeration_order_matches_brute_force(k, longest):
+    # same classes in the same length-then-lex order, each exactly once
+    for max_length in range(1, longest + 1):
+        got = [w.letters for w in enumerate_conjugacy_reps(k, max_length)]
+        expected = sorted(brute_conjugacy_reps(k, max_length),
+                          key=lambda t: Word(t).sort_key())
+        assert got == expected
+        assert len(set(got)) == len(got)
+
+
 def test_enumeration_words_are_cyclically_reduced_min_rotations():
     for w in enumerate_conjugacy_reps(2, 4):
         assert cyclic_reduce(w) == w

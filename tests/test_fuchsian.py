@@ -12,7 +12,7 @@ from affinv.fuchsian import (DegenerateParameters, NotUnimodular, OutOfRange,
                              lw_direction_exact, ping_pong_certificate,
                              rotation, schottky_generators, sym_rep,
                              sym_rep_lie)
-from affinv.numkernel import matrix_exp
+from affinv.numkernel import Singular, matrix_exp
 from helpers import LN3, traceless
 
 
@@ -141,6 +141,14 @@ def test_ping_pong_certificate():
     # an abelian pair cannot play ping pong
     assert not ping_pong_certificate(np.diag([3.0, 1.0 / 3.0]),
                                      np.diag([2.0, 0.5]), max_length=4)
+
+
+def test_ping_pong_certificate_refuses_unusable_pairs():
+    _, b = schottky_generators(3.0, np.pi / 2)
+    with pytest.raises(ValueError, match="unimodular"):
+        ping_pong_certificate(np.diag([2.0, 1.0]), b, max_length=4)
+    with pytest.raises(Singular):
+        ping_pong_certificate(np.diag([1e9, 1e-9]), b, max_length=4)
 
 
 def test_lw_direction_exact_values():

@@ -63,6 +63,19 @@ def test_sample_spectrum_marks_degenerate_words():
         properness_diagnostic(samples)
 
 
+def test_sample_spectrum_skips_products_beyond_float64():
+    # at lam = 60 every word of length 5 is past the float64 limit; the
+    # shorter words must still be sampled
+    a, b = fuchsian.schottky_generators(60.0, np.pi / 2)
+    rep = AffineRepresentation(2, 2, [a, b], [np.diag([0.3, -0.3]),
+                                              np.array([[0.0, 0.2], [0.2, 0.0]])])
+    samples = sample_spectrum(rep, 5)
+    assert all(s.status == "ok" for s in samples if s.length <= 4)
+    longest = [s for s in samples if s.length == 5]
+    assert len(longest) == 52
+    assert {(s.status, s.reason) for s in longest} == {("skipped", "singular")}
+
+
 def test_spectrum_csv_golden():
     samples = sample_spectrum(diag_rep(), 2)
     buf = io.StringIO()
