@@ -28,7 +28,8 @@ def jordan_projection(g, *, gap_tol: float = MODULUS_GAP_TOL) -> np.ndarray:
 
 
 def cartan_projection(g) -> np.ndarray:
-    """Sorted log singular values (decreasing)."""
+    """Sorted log singular values (decreasing), of each matrix of a stack
+    (..., n, n) along the last axis."""
     return np.log(numkernel.singular_values(g))
 
 

@@ -106,38 +106,94 @@ def cyclic_reduce(word: Word) -> Word:
     return Word(tuple(letters))
 
 
+def _walk_necklaces(k: int, max_length: int, visit, step=None) -> None:
+    """Call visit(ranks, value) for every freely and cyclically reduced
+    necklace over the letter ranks of length 1..max_length, depth first, so
+    in lexicographic order within each length.
+
+    This is the Fredricksen-Kessler-Maiorana recursion (Ruskey, Savage &
+    Wang, "Generating necklaces", J. Algorithms 1992).  With a step, value is
+    the left fold step(...step(step(None, r1), r2)..., rt) over the ranks,
+    formed once per tree node and held only along the current path; without
+    one it is None.
+    """
+    def extend(ranks: list[int], period: int, value):
+        # ranks is a freely reduced prenecklace whose longest Lyndon prefix
+        # has length period; it is a necklace when period divides its length.
+        t = len(ranks)
+        if t % period == 0 and ranks[0] != ranks[-1] ^ 1:
+            visit(ranks, value)
+        if t < max_length:
+            least = ranks[t - period]
+            for r in range(least, 2 * k):
+                if r != ranks[-1] ^ 1:  # no extension of a cancelling prefix is reduced
+                    extend(ranks + [r], period if r == least else t + 1,
+                           None if step is None else step(value, r))
+
+    for r in range(2 * k):
+        extend([r], 1, None if step is None else step(None, r))
+
+
+def _alphabet(k: int) -> list[int]:
+    """The letters by rank: alphabet[r] has rank r."""
+    return sorted((l for l in range(-k, k + 1) if l), key=_rank)
+
+
 def enumerate_conjugacy_reps(k: int, max_length: int):
     """Yield one representative per conjugacy class of cyclically reduced
     length 1..max_length: the lexicographically minimal rotation, in
     length-then-lex order.  Classes of w and w^{-1} are both emitted.
 
     These are the freely and cyclically reduced necklaces over the letter
-    ranks, generated directly by the Fredricksen-Kessler-Maiorana recursion
-    (Ruskey, Savage & Wang, "Generating necklaces", J. Algorithms 1992).
+    ranks, generated directly (see _walk_necklaces); no word is evaluated.
     """
     if k < 1:
         raise ValueError("need at least one generator")
     if max_length < 1:
         return
-    alphabet = sorted((l for l in range(-k, k + 1) if l), key=_rank)  # alphabet[r] has rank r
+    alphabet = _alphabet(k)
     by_length: list[list[Word]] = [[] for _ in range(max_length + 1)]
-
-    def extend(ranks: list[int], period: int):
-        # ranks is a freely reduced prenecklace whose longest Lyndon prefix
-        # has length period; it is a necklace when period divides its length.
-        t = len(ranks)
-        if t % period == 0 and ranks[0] != ranks[-1] ^ 1:
-            by_length[t].append(Word(tuple(alphabet[r] for r in ranks)))
-        if t < max_length:
-            least = ranks[t - period]
-            for r in range(least, 2 * k):
-                if r != ranks[-1] ^ 1:  # no extension of a cancelling prefix is reduced
-                    extend(ranks + [r], period if r == least else t + 1)
-
-    for r in range(2 * k):
-        extend([r], 1)
+    _walk_necklaces(k, max_length, lambda ranks, _: by_length[len(ranks)].append(
+        Word(tuple(alphabet[r] for r in ranks))))
     for words in by_length:
         yield from words
+
+
+def evaluate_conjugacy_reps(rep: AffineRepresentation, max_length: int):
+    """The representatives of enumerate_conjugacy_reps(rep.k, max_length)
+    with their products, one length at a time: yields (words, g, y, reasons)
+    for each length, where g and y stack the products of the words, shape
+    (N, n, n), and reasons[i] is the Singular that eval_affine raises for a
+    product beyond float64, or None.
+
+    Each product costs one multiply, from the product of its prefix in the
+    necklace tree; the fold is eval_affine's, so the bytes are the same.
+    """
+    if max_length < 1:
+        return
+    alphabet = _alphabet(rep.k)
+    table = [rep._letters[letter] for letter in alphabet]
+    words: list[list[Word]] = [[] for _ in range(max_length + 1)]
+    # stacks[t][c, i] is component c of (g, g^{-1}, Y) of the i-th word of length t
+    stacks = [np.empty((3, 16, rep.n, rep.n)) for _ in range(max_length + 1)]
+
+    def step(triple, r):
+        return table[r] if triple is None else _mul(triple, table[r])
+
+    def visit(ranks, triple):
+        t = len(ranks)
+        i = len(words[t])
+        words[t].append(Word(tuple(alphabet[r] for r in ranks)))
+        if i == stacks[t].shape[1]:
+            stacks[t] = np.concatenate([stacks[t], np.empty_like(stacks[t])], axis=1)
+        for c in range(3):
+            stacks[t][c, i] = triple[c]
+
+    _walk_necklaces(rep.k, max_length, visit, step)
+    for t in range(1, max_length + 1):
+        g, h, y = stacks[t][:, :len(words[t])]
+        stacks[t] = None
+        yield words[t], g, y, _refusals(g, h, t)
 
 
 @dataclass
@@ -241,13 +297,26 @@ def affine_pow(pair, m: int):
     return g, y
 
 
+def _refusals(g: np.ndarray, h: np.ndarray, length: int) -> list:
+    """Per product of a stack: Singular once |g|_F |g^{-1}|_F reaches
+    numkernel.PRODUCT_CONDITION_LIMIT, where float64 can no longer tell g from
+    a singular matrix and its small eigenvalues are noise; else None."""
+    g = g.reshape(len(g), -1)
+    h = h.reshape(len(h), -1)
+    # vecdot matches the BLAS dot behind np.linalg.norm
+    usable = np.sqrt(np.vecdot(g, g)) * np.sqrt(np.vecdot(h, h)) < numkernel.PRODUCT_CONDITION_LIMIT
+    return [None if ok else numkernel.Singular(f"a word of length {length} is too "
+                                               "ill-conditioned for float64")
+            for ok in usable.tolist()]
+
+
 def eval_affine(rep: AffineRepresentation, word: Word):
     """Evaluate a word: left-to-right product of generator pairs.  Raises
     Singular when the product is too ill-conditioned for float64."""
     if not word.letters:
         return affine_identity(rep.n)
     g, h, y = _product(rep._letters, word.letters)
-    if not np.linalg.norm(g) * np.linalg.norm(h) < numkernel.PRODUCT_CONDITION_LIMIT:
-        raise numkernel.Singular(f"a word of length {len(word)} is too ill-conditioned "
-                                 "for float64")
+    reason = _refusals(g[None], h[None], len(word))[0]
+    if reason is not None:
+        raise reason
     return g, y

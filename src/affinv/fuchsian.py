@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .freegroup import AffineRepresentation, enumerate_conjugacy_reps, eval_affine
+from .freegroup import AffineRepresentation, evaluate_conjugacy_reps
 from .numkernel import DEFAULT_TOL
 
 
@@ -104,12 +104,26 @@ def ping_pong_certificate(a, b, max_length: int = 8) -> bool:
     """Sampled freeness certificate: every reduced word of length <= max_length
     in the pair evaluates to a matrix of trace magnitude > 2.  Trace is a class
     function and each such word is conjugate to a conjugacy representative no
-    longer than itself, so checking the representatives is exact.  A pair
-    outside SL(2,R) raises ValueError, one beyond float64 raises Singular.
+    longer than itself, so checking the representatives is exact.
+
+    A float64 product g_1...g_L of 2x2 matrices is off by at most
+    1.01 (2L) eps |g_1|_F...|g_L|_F in Frobenius norm, and its trace by sqrt(2)
+    times that, so a representative certifies only when its |trace| clears 2
+    by that much; there is no refusal of products beyond float64.  A pair
+    outside SL(2,R) raises ValueError, a generator too ill-conditioned to
+    invert raises Singular.
     """
     rep = AffineRepresentation(2, 2, [a, b], [np.zeros((2, 2))] * 2)
-    return all(abs(np.trace(eval_affine(rep, word)[0])) > 2.0
-               for word in enumerate_conjugacy_reps(2, max_length))
+    norms = {letter: float(np.linalg.norm(triple[0])) for letter, triple in rep._letters.items()}
+    eps = float(np.finfo(float).eps)
+    for words, g, _, _ in evaluate_conjugacy_reps(rep, max_length):
+        length = len(words[0])
+        rounding = np.array([1.01 * (2 * length) * eps * math.sqrt(2)
+                             * math.prod(norms[letter] for letter in word.letters)
+                             for word in words])
+        if not np.all(np.abs(np.trace(g, axis1=1, axis2=2)) > 2.0 + rounding):
+            return False
+    return True
 
 
 def lw_direction_exact(n: int, k: int) -> list[Fraction]:

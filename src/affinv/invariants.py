@@ -17,16 +17,30 @@ from .cartan import Flag, NotTransverse
 from .numkernel import LoxodromicData, eigen_loxodromic
 
 
+def margulis_invariant_stack(frame, y, reasons: list | None = None) -> tuple[np.ndarray, list]:
+    """Margulis invariants of a stack: row i is the diagonal of y[i] in the
+    canonical eigenframe frame[i] (from eigen_loxodromic_stack).  Returns the
+    (N, n) invariants and the reasons of numkernel.solve_stack: an
+    eigenframe too ill-conditioned to solve against gets Singular, and its
+    row is meaningless."""
+    frame = np.asarray(frame, dtype=float)
+    w, reasons = numkernel.solve_stack(frame, np.asarray(y, dtype=float) @ frame, reasons)
+    return np.diagonal(w, axis1=1, axis2=2).copy(), reasons
+
+
 def margulis_invariant(g, y, *, lox: LoxodromicData | None = None) -> np.ndarray:
-    """Diagonal part of y in the canonical eigenframe of loxodromic g.
+    """Diagonal part of y in the canonical eigenframe of loxodromic g: the
+    batch of one of margulis_invariant_stack.
 
     Invariant under conjugation of the pair and under adding a coboundary
     v - g v g^{-1} to y.
     """
     if lox is None:
         lox = eigen_loxodromic(np.asarray(g, dtype=float))
-    w = numkernel.solve(lox.frame, np.asarray(y, dtype=float) @ lox.frame)
-    return np.diag(w).copy()
+    m, reasons = margulis_invariant_stack(lox.frame[None], np.asarray(y, dtype=float)[None])
+    if reasons[0] is not None:
+        raise reasons[0]
+    return m[0]
 
 
 def invariant_affine_point(g, y, *, lox: LoxodromicData | None = None) -> np.ndarray:

@@ -7,10 +7,10 @@ tolerance policy lives in exactly one place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Tolerance policy.  Overridable per call; these are the library-wide defaults.
 DEFAULT_TOL = 1e-9          # generic relative comparisons (transversality, det, trace)
@@ -20,6 +20,7 @@ CONDITION_LIMIT = 1e12      # linear solves refuse anything worse than this
 # Word products refuse |g| |g^{-1}| (Frobenius) from here on: float64 can no
 # longer tell g from a singular matrix, and its small eigenvalues are noise.
 PRODUCT_CONDITION_LIMIT = 1.0 / np.finfo(float).eps
+_TINY = np.finfo(float).tiny * 1e4  # determinants and singular values below this count as zero
 
 
 class NumericalDegeneracy(Exception):
@@ -59,9 +60,108 @@ def _as_square(g) -> np.ndarray:
     return g
 
 
+def _reject(reasons: list, bad: np.ndarray, make) -> None:
+    """reasons[i] = make(i) for every i with a flag set in row i of bad that
+    has no reason yet, so that the first check a matrix fails names it."""
+    if np.count_nonzero(bad):  # much cheaper than bad.any() on small arrays
+        for i in np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)).tolist():
+            if reasons[i] is None:
+                reasons[i] = make(i)
+
+
+def _usable(stack: np.ndarray, reasons: list) -> np.ndarray:
+    """The stack with every rejected matrix replaced by the identity, so that
+    one bad matrix cannot make a stacked LAPACK call fail for all."""
+    bad = [i for i, reason in enumerate(reasons) if reason is not None]
+    if not bad:
+        return stack
+    stack = stack.copy()
+    stack[bad] = np.eye(stack.shape[-1])
+    return stack
+
+
+def eigen_loxodromic_stack(g, reasons: list | None = None, *,
+                           gap_tol: float = MODULUS_GAP_TOL,
+                           real_tol: float = REALNESS_TOL) -> tuple[LoxodromicData, list]:
+    """eigen_loxodromic on a stack of finite matrices, shape (N, n, n).
+
+    Returns a LoxodromicData whose fields carry a leading batch axis, and a
+    list whose entry i is None when matrix i is loxodromic and otherwise the
+    exception eigen_loxodromic raises for it; the fields of such a matrix
+    are meaningless.  Entries already set in the reasons passed in are kept
+    and their matrices skipped.  Checks run in eigen_loxodromic's order:
+    determinant; per modulus index, a zero modulus before a collision;
+    realness; a degenerate eigenvector before a singular frame.
+    """
+    g = np.asarray(g, dtype=float)
+    count, n = g.shape[0], g.shape[-1]
+    reasons = [None] * count if reasons is None else list(reasons)
+    rows = np.arange(count)[:, None]
+    # Rows of rejected matrices may divide by zero; their results are unused.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _reject(reasons, np.abs(np.linalg.det(_usable(g, reasons))) < _TINY,
+                lambda i: Singular("matrix is numerically singular"))
+
+        values, vectors = np.linalg.eig(_usable(g, reasons))
+        moduli = np.abs(values)
+        order = np.argsort(-moduli, axis=1, kind="stable")
+        moduli = moduli[rows, order]
+        values = values[rows, order]
+        cols = np.swapaxes(vectors, 1, 2)[rows, order]  # cols[i, j]: column j of frame i
+
+        # Modulus collisions first: a conjugate pair always collides, so this
+        # check also catches "almost real" pairs before the realness test does.
+        rel = moduli[:, :-1] / moduli[:, 1:] - 1.0
+        zero = moduli[:, 1:] == 0.0
+        hit = zero | (rel <= gap_tol)
+
+        def collision(i):
+            j = int(np.argmax(hit[i]))
+            if zero[i, j]:
+                return Singular("zero eigenvalue modulus")
+            return ModulusCollision(f"eigenvalue moduli {moduli[i, j]:.6g} and "
+                                    f"{moduli[i, j + 1]:.6g} collide (relative gap {rel[i, j]:.3g})")
+
+        _reject(reasons, hit, collision)
+
+        if np.iscomplexobj(values):
+            scale = moduli[:, :1]  # the largest modulus
+            _reject(reasons, np.abs(values.imag) > real_tol * np.maximum(moduli, scale * 1e-300),
+                    lambda i: ComplexSpectrum("matrix has a genuinely complex eigenvalue"))
+            values, cols = values.real, cols.real
+
+        # Canonicalize: unit columns, largest-magnitude entry positive.  The
+        # columns are contiguous so that vecdot rounds as the unit-stride
+        # BLAS dot behind np.linalg.norm does.
+        cols = np.ascontiguousarray(cols)
+        norms = np.sqrt(np.vecdot(cols, cols))
+        _reject(reasons, norms == 0.0,
+                lambda i: Singular("degenerate eigenvector"))
+        cols /= norms[..., None]
+        pivots = cols[rows, np.arange(n), np.abs(cols).argmax(axis=2)]
+        cols *= np.sign(pivots)[..., None]  # pivots of unit columns are nonzero
+        frame = np.ascontiguousarray(np.swapaxes(cols, 1, 2))
+
+        d = np.linalg.det(_usable(frame, reasons))
+        _reject(reasons, np.abs(d) < 1e-300,
+                lambda i: Singular("eigenvector frame is numerically singular"))
+        # Rescale to det 1, the last column taking the sign of d.  A scalar
+        # pow per matrix, as numpy's vectorized pow rounds differently.
+        scales = []
+        for x, reason in zip(d.tolist(), reasons):
+            scale = abs(x) ** (-1.0 / n) if reason is None else 1.0
+            scales.append([scale] * (n - 1) + [math.copysign(scale, x)])
+        frame *= np.array(scales)[:, None, :]
+
+        gap = np.minimum.reduce(rel, axis=1, initial=np.inf)
+    return LoxodromicData(eigenvalues=np.ascontiguousarray(values), frame=frame,
+                          gap=gap), reasons
+
+
 def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL,
                      real_tol: float = REALNESS_TOL) -> LoxodromicData:
-    """Eigendecomposition of a real-split proximal matrix.
+    """Eigendecomposition of a real-split proximal matrix: the batch of one
+    of eigen_loxodromic_stack.
 
     Raises ComplexSpectrum when an eigenvalue has a relative imaginary part
     above real_tol, ModulusCollision when two moduli are closer than gap_tol
@@ -70,67 +170,23 @@ def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL,
     by the first index attaining the maximal magnitude.
     """
     g = _as_square(g)
-    n = g.shape[0]
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("matrix contains non-finite entries")
-    if abs(np.linalg.det(g)) < np.finfo(float).tiny * 1e4:
-        raise Singular("matrix is numerically singular")
-
-    values, vectors = np.linalg.eig(g)
-
-    moduli = np.abs(values)
-    order = np.argsort(-moduli, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    moduli = moduli[order]
-
-    # Modulus collisions first: a conjugate pair always collides, so this
-    # check also catches "almost real" pairs before the realness test does.
-    gap = np.inf
-    for i in range(n - 1):
-        if moduli[i + 1] == 0.0:
-            raise Singular("zero eigenvalue modulus")
-        rel = moduli[i] / moduli[i + 1] - 1.0
-        gap = min(gap, rel)
-        if rel <= gap_tol:
-            raise ModulusCollision(
-                f"eigenvalue moduli {moduli[i]:.6g} and {moduli[i+1]:.6g} "
-                f"collide (relative gap {rel:.3g})")
-
-    scale = np.max(moduli)
-    if np.any(np.abs(values.imag) > real_tol * np.maximum(moduli, scale * 1e-300)):
-        raise ComplexSpectrum("matrix has a genuinely complex eigenvalue")
-
-    lam = values.real.copy()
-    frame = vectors.real.copy()
-
-    # Canonicalize: unit columns, largest-magnitude entry positive.
-    for j in range(n):
-        col = frame[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            raise Singular("degenerate eigenvector")
-        col = col / norm
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            col = -col
-        frame[:, j] = col
-
-    d = np.linalg.det(frame)
-    if abs(d) < 1e-300:
-        raise Singular("eigenvector frame is numerically singular")
-    frame = frame * abs(d) ** (-1.0 / n)
-    if d < 0:
-        frame[:, -1] = -frame[:, -1]
-
-    return LoxodromicData(eigenvalues=lam, frame=frame, gap=float(gap))
+    lox, reasons = eigen_loxodromic_stack(g[None], gap_tol=gap_tol, real_tol=real_tol)
+    if reasons[0] is not None:
+        raise reasons[0]
+    return LoxodromicData(eigenvalues=lox.eigenvalues[0], frame=lox.frame[0],
+                          gap=float(lox.gap[0]))
 
 
 def singular_values(g) -> np.ndarray:
-    """Singular values of g in decreasing order; raises Singular if g is not invertible."""
-    g = _as_square(g)
+    """Singular values of g in decreasing order, of each matrix of a stack
+    (..., n, n) along the last axis; raises Singular if one is not invertible."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {g.shape}")
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= np.finfo(float).tiny * 1e4:
+    if np.any(sv[..., -1] <= _TINY):
         raise Singular("matrix is numerically singular")
     return sv
 
@@ -138,6 +194,8 @@ def singular_values(g) -> np.ndarray:
 def matrix_exp(x) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring via scipy); raises
     NumericalDegeneracy when the result overflows float64."""
+    import scipy.linalg  # here, not at module level: importing it doubles the CLI start-up
+
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(_as_square(x))
     if not np.all(np.isfinite(out)):
@@ -145,13 +203,37 @@ def matrix_exp(x) -> np.ndarray:
     return out
 
 
+def solve_stack(a, b, reasons: list | None = None, *,
+                condition_limit: float = CONDITION_LIMIT) -> tuple[np.ndarray, list]:
+    """Guarded solves a[i] @ x[i] = b[i] on stacks a (N, n, n), b (N, n, m).
+
+    Returns x and a list whose entry i is None, or Singular when the 2-norm
+    condition number of a[i] is not finite or exceeds condition_limit (a
+    finite number); such x[i] are meaningless.  Entries already set in the
+    reasons passed in are kept.
+    """
+    reasons = [None] * len(a) if reasons is None else list(reasons)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = np.linalg.svd(_usable(a, reasons), compute_uv=False)
+        cond = sv[:, 0] / sv[:, -1]  # as np.linalg.cond, which reads 0/0 as inf
+
+    def singular(i):
+        value = np.inf if np.isnan(cond[i]) else cond[i]
+        return Singular(f"condition number {value:.3g} exceeds {condition_limit:.3g}")
+
+    _reject(reasons, ~(cond <= condition_limit), singular)  # NaN and inf fail too
+    return np.linalg.solve(_usable(a, reasons), b), reasons
+
+
 def solve(a, b, *, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Guarded linear solve a @ x = b using partial-pivot elimination."""
+    """Guarded linear solve a @ x = b using partial-pivot elimination: the
+    batch of one of solve_stack."""
     a = _as_square(a)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > condition_limit:
-        raise Singular(f"condition number {cond:.3g} exceeds {condition_limit:.3g}")
-    return np.linalg.solve(a, np.asarray(b, dtype=float))
+    x, reasons = solve_stack(a[None], np.asarray(b, dtype=float)[None],
+                             condition_limit=condition_limit)
+    if reasons[0] is not None:
+        raise reasons[0]
+    return x[0]
 
 
 def inverse(a, *, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import cartan, numkernel
 from .freegroup import (AffineRepresentation, Word, _letter_table, _mul, _pow,
-                        _product, cyclic_reduce, enumerate_conjugacy_reps,
-                        eval_affine)
-from .invariants import affine_fixed_parabolics, cross_ratio, margulis_invariant
+                        _product, cyclic_reduce, eval_affine, evaluate_conjugacy_reps)
+from .invariants import (affine_fixed_parabolics, cross_ratio, margulis_invariant,
+                         margulis_invariant_stack)
 from .numkernel import ComplexSpectrum, ModulusCollision, Singular
 
 
@@ -43,27 +43,31 @@ class SpectrumSample:
     reason: str | None = None
 
 
-def _sample_one(rep: AffineRepresentation, word: Word) -> SpectrumSample:
-    try:
-        g, y = eval_affine(rep, word)
-        lox = numkernel.eigen_loxodromic(g)
-    except ComplexSpectrum:
-        return SpectrumSample(word, len(word), None, None, "skipped", "complex-spectrum")
-    except ModulusCollision:
-        return SpectrumSample(word, len(word), None, None, "skipped", "modulus-collision")
-    except Singular:
-        return SpectrumSample(word, len(word), None, None, "skipped", "singular")
-    jd = np.log(np.abs(lox.eigenvalues))
-    m = margulis_invariant(g, y, lox=lox)
-    return SpectrumSample(word, len(word), jd, m, "ok")
+_SKIP_REASONS = {ComplexSpectrum: "complex-spectrum", ModulusCollision: "modulus-collision",
+                 Singular: "singular"}
 
 
 def sample_spectrum(rep: AffineRepresentation, max_length: int) -> list[SpectrumSample]:
     """Jordan projections and Margulis invariants over all conjugacy class
     representatives of cyclic length <= max_length, in deterministic
-    enumeration order.  Non-loxodromic words are recorded as skipped, never
-    dropped."""
-    return [_sample_one(rep, w) for w in enumerate_conjugacy_reps(rep.k, max_length)]
+    enumeration order.  Non-loxodromic words, products beyond float64 and
+    eigenframes too ill-conditioned to solve against are recorded as
+    skipped, never dropped.  Each length is one stacked evaluation: one
+    eigendecomposition and one solve over all its words."""
+    samples = []
+    for words, g, y, reasons in evaluate_conjugacy_reps(rep, max_length):
+        lox, reasons = numkernel.eigen_loxodromic_stack(g, reasons)
+        margulis, reasons = margulis_invariant_stack(lox.frame, y, reasons)
+        with np.errstate(divide="ignore"):  # rows of skipped words may hold zeros
+            jordan = np.log(np.abs(lox.eigenvalues))
+        length = len(words[0])
+        for word, jd, m, reason in zip(words, jordan, margulis, reasons):
+            if reason is None:
+                samples.append(SpectrumSample(word, length, jd, m, "ok"))
+            else:
+                samples.append(SpectrumSample(word, length, None, None, "skipped",
+                                              _SKIP_REASONS[type(reason)]))
+    return samples
 
 
 def _fmt(value: float) -> str:
@@ -330,15 +334,18 @@ def anosov_gap_probe(rep: AffineRepresentation, max_length: int) -> AnosovGapRep
     floors = np.full(n - 1, np.inf)
     argmins: list[Word | None] = [None] * (n - 1)
     seen = False
-    for word in enumerate_conjugacy_reps(rep.k, max_length):
+    for words, g, _, reasons in evaluate_conjugacy_reps(rep, max_length):
         seen = True
-        g, _ = eval_affine(rep, word)
+        refused = next((reason for reason in reasons if reason is not None), None)
+        if refused is not None:
+            raise refused
         kappa = cartan.cartan_projection(g)
-        rates = (kappa[:-1] - kappa[1:]) / len(word)
+        rates = (kappa[:, :-1] - kappa[:, 1:]) / len(words[0])
+        best = np.argmin(rates, axis=0)  # the first word attaining each minimum
         for i in range(n - 1):
-            if rates[i] < floors[i]:
-                floors[i] = rates[i]
-                argmins[i] = word
+            if rates[best[i], i] < floors[i]:
+                floors[i] = rates[best[i], i]
+                argmins[i] = words[best[i]]
     if not seen:
         raise EmptySampleSet("no words up to the requested length")
     worst = int(np.argmin(floors))

@@ -88,3 +88,11 @@ def lifted_schottky_rep(n=3, seed=11, norm=0.1):
     rng = np.random.default_rng(seed)
     return AffineRepresentation(n, 2, rho, [traceless(n, rng, norm),
                                             traceless(n, rng, norm)])
+
+
+def ill_conditioned_eigenframe_pair():
+    """a = P diag(1+1e-5, 1/(1+1e-5)) P^{-1} with eigenvector columns of P
+    1e-12 apart (eigenframe condition number about 2e12), and b = diag(2, 1/2)."""
+    p = np.array([[1.0, np.cos(1e-12)], [0.0, np.sin(1e-12)]])
+    d = 1.0 + 1e-5
+    return p @ np.diag([d, 1.0 / d]) @ np.linalg.inv(p), np.diag([2.0, 0.5])

@@ -11,7 +11,7 @@ import pytest
 from affinv import cli
 from affinv.cartan import omega0
 from affinv.invariants import affine_fixed_parabolics
-from helpers import coboundary_rep, traceless
+from helpers import coboundary_rep, ill_conditioned_eigenframe_pair, traceless
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -88,6 +88,32 @@ def test_module_entry_point_keeps_stderr_empty():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == {"status": "ok", "n": 3, "k": 1}
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only deriv's matrix exponential and doubles the start-up
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, affinv.cli; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_spectrum_skips_ill_conditioned_eigenframes(tmp_path, capsys):
+    # the eigenvectors of a are 1e-12 apart: its Margulis solve meets a
+    # condition number of 2e12, which used to abort the run with exit 3
+    path = tmp_path / "rep.json"
+    a, b = ill_conditioned_eigenframe_pair()
+    path.write_text(json.dumps({"n": 2, "k": 2, "generators": [
+        {"rho": a.ravel().tolist(), "u": [0.1, 0.0, 0.0, -0.1]},
+        {"rho": b.ravel().tolist(), "u": [0.2, 0.1, 0.1, -0.2]}]}))
+    code, out, err = run(capsys, "spectrum", str(path), "--max-length", "2")
+    assert code == 0 and err == ""
+    rows = {line.split(",")[0]: line.split(",")[-1] for line in out.splitlines()[1:]}
+    assert rows["a"] == rows["A"] == "skipped(singular)"
+    assert rows["b"] == rows["B"] == "ok"
 
 
 def test_invariant_golden_values(capsys):

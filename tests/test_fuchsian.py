@@ -151,6 +151,13 @@ def test_ping_pong_certificate_refuses_unusable_pairs():
         ping_pong_certificate(np.diag([1e9, 1e-9]), b, max_length=4)
 
 
+@pytest.mark.parametrize("lam", [10.0, 20.0])
+def test_ping_pong_certificate_strongly_hyperbolic_pairs(lam):
+    # words of length 8 are far past float64's condition limit here, but
+    # their traces (about lam^8) clear 2 by far more than their rounding
+    assert ping_pong_certificate(*schottky_generators(lam, np.pi / 2), max_length=8)
+
+
 def test_lw_direction_exact_values():
     assert lw_direction_exact(2, 2) == [Fraction(1), Fraction(-1)]
     assert lw_direction_exact(3, 2) == [Fraction(2), Fraction(0), Fraction(-2)]

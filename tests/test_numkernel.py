@@ -5,8 +5,10 @@ import pytest
 
 from affinv import numkernel
 from affinv.numkernel import (ComplexSpectrum, ModulusCollision, Singular,
-                              eigen_loxodromic, matrix_exp, singular_values)
-from helpers import frame, loxodromic, traceless, unimodular
+                              eigen_loxodromic, eigen_loxodromic_stack,
+                              matrix_exp, singular_values)
+from helpers import (frame, ill_conditioned_eigenframe_pair, loxodromic,
+                     traceless, unimodular)
 
 
 def charpoly_coeffs(a):
@@ -144,3 +146,74 @@ def test_unimodular_traceless_predicates():
     near = np.diag([1.0 + 5e-7, 1.0])
     assert not numkernel.is_unimodular(near, tol=1e-9)
     assert numkernel.is_unimodular(near, tol=1e-5)
+
+
+def mixed_stack():
+    """Loxodromic matrices among a rotation (complex spectrum), equal moduli,
+    a singular matrix, a zero eigenvalue and an eigenframe of condition
+    number 2e12, all 3x3."""
+    rng = np.random.default_rng(8)
+
+    def embed(m2):
+        out = np.eye(3) * 5.0
+        out[:2, :2] = m2
+        return out
+
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    ill, _ = ill_conditioned_eigenframe_pair()
+    return np.array([loxodromic(3, rng), embed(rot), np.diag([2.0, -2.0, 0.25]),
+                     loxodromic(3, rng, signs=True), np.zeros((3, 3)),
+                     np.diag([2.0, 0.5, 1e-320]), embed(ill), loxodromic(3, rng)])
+
+
+@pytest.mark.parametrize("gap_tol", [numkernel.MODULUS_GAP_TOL, -1.0],
+                         ids=["default", "no-collision-check"])
+def test_eigen_loxodromic_stack_is_the_batch_of_one(gap_tol):
+    # a conjugate pair always collides, so ComplexSpectrum needs gap_tol < 0
+    stack = mixed_stack()
+    lox, reasons = eigen_loxodromic_stack(stack, gap_tol=gap_tol)
+    kinds = []
+    for i, g in enumerate(stack):
+        try:
+            one = eigen_loxodromic(g, gap_tol=gap_tol)
+        except numkernel.NumericalDegeneracy as exc:
+            assert type(reasons[i]) is type(exc) and str(reasons[i]) == str(exc)
+            kinds.append(type(exc))
+            continue
+        assert reasons[i] is None
+        kinds.append(None)
+        assert np.array_equal(lox.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(lox.frame[i], one.frame)
+        assert lox.gap[i] == one.gap
+    expected = [None, ModulusCollision, ModulusCollision, None, Singular, Singular,
+                None, None]
+    if gap_tol < 0:
+        expected[1:3] = [ComplexSpectrum, None]
+    assert kinds == expected
+    # a matrix rejected before the call is not decomposed, so it cannot make
+    # the stacked LAPACK call fail for all
+    poisoned = np.concatenate([stack, np.full((1, 3, 3), np.inf)])
+    _, kept = eigen_loxodromic_stack(poisoned, [None] * len(stack) + [Singular("kept")],
+                                     gap_tol=gap_tol)
+    assert [type(r) if r else None for r in kept[:-1]] == expected
+    assert str(kept[-1]) == "kept"
+
+
+def test_solve_stack_is_the_batch_of_one():
+    stack = mixed_stack()
+    eigenframes = eigen_loxodromic_stack(stack)[0].frame
+    frames = np.concatenate([eigenframes[[0, 3, 6]], np.zeros((1, 3, 3))])
+    rhs = np.random.default_rng(9).standard_normal((4, 3, 3))
+    prior = [None, Singular("kept"), None, None]
+    x, reasons = numkernel.solve_stack(frames, rhs, prior)
+    assert str(reasons[1]) == "kept"
+    for i in (0, 2, 3):
+        try:
+            one = numkernel.solve(frames[i], rhs[i])
+        except Singular as exc:
+            assert str(reasons[i]) == str(exc)
+            continue
+        assert reasons[i] is None and np.array_equal(x[i], one)
+    assert reasons[0] is None
+    assert "condition number 2e+12" in str(reasons[2])
+    assert "condition number inf" in str(reasons[3])

@@ -1,21 +1,23 @@
 """Spectrum sampling, properness diagnostics, limit and convexity probes."""
 
 import io
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
-from affinv import fuchsian, spectra
+from affinv import cli, fuchsian, numkernel, spectra
 from affinv.cartan import NotTransverse, omega0
 from affinv.freegroup import (AffineRepresentation, Word,
                               enumerate_conjugacy_reps, eval_affine)
 from affinv.invariants import margulis_invariant
-from affinv.numkernel import ModulusCollision
-from affinv.spectra import (EmptySampleSet, anosov_gap_probe, convexity_probe,
-                            derivative_experiment, limit_formula_experiment,
-                            properness_diagnostic, sample_spectrum,
-                            write_spectrum_csv)
+from affinv.numkernel import (ComplexSpectrum, ModulusCollision,
+                              NumericalDegeneracy, Singular)
+from affinv.spectra import (EmptySampleSet, SpectrumSample, anosov_gap_probe,
+                            convexity_probe, derivative_experiment,
+                            limit_formula_experiment, properness_diagnostic,
+                            sample_spectrum, write_spectrum_csv)
 from helpers import (LN3, coboundary_rep, derivative_cocycle_rep,
                      lifted_schottky_rep, loxodromic, schottky_pair,
                      small_cocycle_rep, traceless)
@@ -74,6 +76,52 @@ def test_sample_spectrum_skips_products_beyond_float64():
     longest = [s for s in samples if s.length == 5]
     assert len(longest) == 52
     assert {(s.status, s.reason) for s in longest} == {("skipped", "singular")}
+
+
+def batch_of_one_spectrum(rep, max_length):
+    """The reference for sample_spectrum: each word on its own through
+    eval_affine, eigen_loxodromic and margulis_invariant."""
+    reasons = {ComplexSpectrum: "complex-spectrum",
+               ModulusCollision: "modulus-collision", Singular: "singular"}
+    samples = []
+    for word in enumerate_conjugacy_reps(rep.k, max_length):
+        try:
+            g, y = eval_affine(rep, word)
+            lox = numkernel.eigen_loxodromic(g)
+            m = margulis_invariant(g, y, lox=lox)
+        except NumericalDegeneracy as exc:
+            samples.append(SpectrumSample(word, len(word), None, None, "skipped",
+                                          reasons[type(exc)]))
+            continue
+        samples.append(SpectrumSample(word, len(word), np.log(np.abs(lox.eigenvalues)),
+                                      m, "ok"))
+    return samples
+
+
+def schottky_fixture_rep():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "schottky_n2.json")
+    return cli.load_rep(path, numkernel.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("make_rep, max_length, skipped", [
+    (schottky_fixture_rep, 8, 0),
+    (lambda: lifted_schottky_rep(3), 8, 0),
+    (lambda: lifted_schottky_rep(4), 6, 24),  # products beyond float64 refused first
+], ids=["schottky_n2-8", "lift3-8", "lift4-6"])
+def test_sample_spectrum_is_bytewise_the_batch_of_one(make_rep, max_length, skipped):
+    rep = make_rep()
+    batched = sample_spectrum(rep, max_length)
+    reference = batch_of_one_spectrum(rep, max_length)
+    assert sum(s.status != "ok" for s in batched) == skipped
+    assert [(s.word, s.length, s.status, s.reason) for s in batched] == \
+        [(s.word, s.length, s.status, s.reason) for s in reference]
+    for s, r in zip(batched, reference):
+        if s.status == "ok":
+            assert np.array_equal(s.jordan, r.jordan) and np.array_equal(s.margulis, r.margulis)
+    csv_batched, csv_reference = io.StringIO(), io.StringIO()
+    write_spectrum_csv(batched, rep.n, csv_batched)
+    write_spectrum_csv(reference, rep.n, csv_reference)
+    assert csv_batched.getvalue() == csv_reference.getvalue()
 
 
 def test_spectrum_csv_golden():
