@@ -29,6 +29,12 @@ class SchemaError(ValueError):
     pass
 
 
+# Upper caps on run sizes, each set by a run of a few seconds on 2 shared
+# cores: spectrum --max-length 12 on schottky_n2 (3.1 s), limit --max-power
+# 4096 on its pair (ab, aB) (3.4 s) and lw 800 400 (1.9 s).
+MAX_LENGTH, MAX_POWER, MAX_LW_N = 12, 4096, 800
+
+
 def _as_matrix(values, n: int, what: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != n * n:
         raise SchemaError(f"{what}: expected a flat list of {n * n} numbers")
@@ -284,10 +290,13 @@ def main(argv=None) -> int:
     if not (np.isfinite(args.tolerance) and args.tolerance > 0.0):
         return _fail(2, "SchemaError",
                      f"--tolerance must be finite and positive, got {args.tolerance}")
-    for size in ("max_length", "max_power"):  # of spectrum, proper and limit
-        if getattr(args, size, 1) < 1:
-            return _fail(2, "SchemaError", f"--{size.replace('_', '-')} must be at least 1, "
-                                           f"got {getattr(args, size)}")
+    for size, cap in (("max_length", MAX_LENGTH), ("max_power", MAX_POWER)):
+        value = getattr(args, size, 1)  # of spectrum, proper and limit
+        if not 1 <= value <= cap:
+            return _fail(2, "SchemaError",
+                         f"--{size.replace('_', '-')} must be in 1..{cap}, got {value}")
+    if args.command == "lw" and args.n > MAX_LW_N:
+        return _fail(2, "SchemaError", f"lw: n must be at most {MAX_LW_N}, got {args.n}")
     try:
         return args.func(args)
     except OSError as exc:

@@ -56,12 +56,9 @@ def invariant_affine_point(g, y, *, lox: LoxodromicData | None = None) -> np.nda
     h = lox.frame
     lam = lox.eigenvalues
     w = numkernel.solve(h, np.asarray(y, dtype=float) @ h)
-    n = g.shape[0]
-    x = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                x[i, j] = w[i, j] / (1.0 - lam[i] / lam[j])
+    off = ~np.eye(len(lam), dtype=bool)
+    x = np.zeros_like(w)
+    x[off] = w[off] / (1.0 - (lam[:, None] / lam)[off])
     return numkernel.adjoint(h, x)
 
 

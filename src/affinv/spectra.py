@@ -3,18 +3,17 @@ desk-scale experiments: the defect/limit formula for the affine cross ratio,
 convexity of normalized invariants, the derivative identity for the Jordan
 projection, and singular-value gap probes.
 
-The limit and convexity experiments evaluate Margulis invariants of words
-like g^16 h^16 whose translation parts are astronomically larger than the
-invariant itself (the diagonal part survives a cancellation of ~50 orders of
-magnitude at lam=3, N=16).  Those two experiments therefore form the power
-words with the same affine group law in mpmath, at a precision fixed in
-advance from the Cartan projections of the base words; everything else is
-float64.
+The limit and convexity experiments need Margulis invariants of words like
+g^16 h^16, whose translation parts dwarf the invariant (its diagonal survives
+a cancellation of ~50 orders of magnitude at lam=3, N=16).  Each runs as one
+mpmath pass with the affine group law of float64 word evaluation, at a
+precision fixed in advance for its top row: the powers are carried from row
+to row by squaring, and M(g^m) = m M(g) spares the eigensolves of g^m and
+h^m.  Everything else is float64.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -70,10 +69,6 @@ def sample_spectrum(rep: AffineRepresentation, max_length: int) -> list[Spectrum
     return samples
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_spectrum_csv(samples, n: int, stream) -> None:
     """CSV with header word,length,jd_1..jd_n,m_1..m_n,status; skipped words
     get empty numeric cells and a skipped(reason) status."""
@@ -82,7 +77,7 @@ def write_spectrum_csv(samples, n: int, stream) -> None:
     stream.write(",".join(header) + "\n")
     for s in samples:
         if s.status == "ok":
-            cells = [_fmt(v) for v in s.jordan] + [_fmt(v) for v in s.margulis]
+            cells = [format(v, ".17g") for v in s.jordan.tolist() + s.margulis.tolist()]
             status = "ok"
         else:
             cells = [""] * (2 * n)
@@ -134,12 +129,7 @@ def _sphere_grid(dim: int, resolution: int) -> np.ndarray:
 
 
 def _simple_root_functionals(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n - 1):
-        f = np.zeros(n)
-        f[i], f[i + 1] = 1.0, -1.0
-        out.append(f / np.linalg.norm(f))
-    return out
+    return list((np.eye(n)[:-1] - np.eye(n)[1:]) / math.sqrt(2.0))
 
 
 def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
@@ -187,7 +177,9 @@ def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
 # Extended-precision evaluation for power words
 
 def _mp_margulis(pair) -> np.ndarray:
-    g, y = pair
+    """The Margulis invariant of an mpmath pair (g, Y), or of a triple
+    (g, g^{-1}, Y), rounded to float64."""
+    g, *_, y = pair
     n = g.rows
     values, vectors = mpmath.eig(g)
     scale = max(abs(v) for v in values)
@@ -199,34 +191,35 @@ def _mp_margulis(pair) -> np.ndarray:
     for big, small in zip(moduli, moduli[1:]):
         if big - small <= numkernel.MODULUS_GAP_TOL * small:
             raise ModulusCollision("power word has colliding eigenvalue moduli")
-    frame = mpmath.matrix(n, n)
-    for col, i in enumerate(order):
-        for row in range(n):
-            frame[row, col] = mpmath.re(vectors[row, i])
+    frame = mpmath.matrix([[mpmath.re(vectors[row, i]) for i in order] for row in range(n)])
     w = frame ** -1 * y * frame
     return np.array([float(mpmath.re(w[i, i])) for i in range(n)])
 
 
-def _margulis_of_power_pair(rep, base_words, powers):
-    """Margulis invariants of prod_i base_words[i]**powers[i] (powers >= 1).
+def _power_word_margulis(rep, gamma, eta, p: int, q: int, max_power: int):
+    """(M(g^p), M(h^q), [M(g^(pm) h^(qm)) for m = 1, 2, 4, ... <= max_power]),
+    where g and h evaluate gamma and eta, in one mpmath pass: the generators
+    are converted once, and g^(pm), h^(qm) carried by one squaring a row.
 
     The invariant survives a cancellation by a factor of at most exp(s),
-    s = sum_i m_i (k_1 - k_n)(w_i) with k the Cartan projection: k_1 is
-    subadditive and k_n superadditive, so g X g^{-1} grows by at most exp(s)
-    over the product.  The product is therefore formed once, at s / ln 10
-    digits plus 40 guard digits, with the same triple law as float64 word
-    evaluation."""
+    s = sum_i m_i (k_1 - k_n)(w_i) with k the Cartan projection (k_1 is
+    subadditive, k_n superadditive), so the pass runs at the top row's
+    s / ln 10 plus 40 guard digits."""
+    rows = max(max_power, 0).bit_length()
+    top = 1 << max(rows - 1, 0)
     spread = sum(m * np.ptp(cartan.cartan_projection(eval_affine(rep, w)[0]))
-                 for w, m in zip(base_words, powers))
+                 for w, m in zip([gamma, eta], [p * top, q * top]))
     with mpmath.workdps(40 + math.ceil(spread / math.log(10))):
-        gens = []
-        for g, y in zip(rep.rho, rep.u):
-            g = mpmath.matrix(g.tolist())
-            gens.append((g, g ** -1, mpmath.matrix(y.tolist())))
-        table = _letter_table(gens)
-        total = functools.reduce(_mul, [_pow(_product(table, w.letters), m)
-                                        for w, m in zip(base_words, powers)])
-        return _mp_margulis((total[0], total[2]))
+        gens = [mpmath.matrix(g.tolist()) for g in rep.rho]
+        table = _letter_table([(g, g ** -1, mpmath.matrix(y.tolist())) for g, y in zip(gens, rep.u)])
+        tg, th = (_pow(_product(table, w.letters), k) for w, k in ((gamma, p), (eta, q)))
+        m_g, m_h = _mp_margulis(tg), _mp_margulis(th)
+        products = []
+        for i in range(rows):
+            if i:
+                tg, th = _mul(tg, tg), _mul(th, th)
+            products.append(_mp_margulis(_mul(tg, th)))
+    return m_g, m_h, products
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +245,16 @@ def limit_formula_experiment(rep: AffineRepresentation, gamma: Word, eta: Word,
     h_plus, h_minus = affine_fixed_parabolics(*pair_h)
     beta = cross_ratio(g_plus, h_plus, g_minus, h_minus)
 
+    # M(g^m) = m M(g): g^m has the eigenframe F of g, and the translation
+    # part sum_i g^i Y g^-i of (g, Y)^m has the diagonal m diag(F^-1 Y F) in
+    # it.  m is a power of two, so scaling the rounded M(g) is exact.
+    m_g, m_h, products = _power_word_margulis(rep, gamma, eta, 1, 1, max_power)
     rows = []
-    m = 1
-    while m <= max_power:
-        m_gh = _margulis_of_power_pair(rep, [gamma, eta], [m, m])
-        m_g = _margulis_of_power_pair(rep, [gamma], [m])
-        m_h = _margulis_of_power_pair(rep, [eta], [m])
-        defect = m_gh - m_g - m_h
+    for i, m_gh in enumerate(products):
+        m = 1 << i
+        defect = m_gh - m * m_g - m * m_h
         rows.append(LimitRow(power=m, defect=defect, beta_target=beta,
                              gap=float(np.linalg.norm(defect - beta))))
-        m *= 2
     return rows
 
 
@@ -284,14 +277,11 @@ def convexity_probe(rep: AffineRepresentation, gamma: Word, eta: Word,
     target = (p * m_g + q * m_h) / (p * len_g + q * len_h)
 
     rows = []
-    m = 1
-    while m <= max_power:
-        word = gamma ** (p * m) * eta ** (q * m)
-        length = len(cyclic_reduce(word))
-        value = _margulis_of_power_pair(rep, [gamma, eta], [p * m, q * m]) / length
+    for i, m_gh in enumerate(_power_word_margulis(rep, gamma, eta, p, q, max_power)[2]):
+        m = 1 << i
+        value = m_gh / len(cyclic_reduce(gamma ** (p * m) * eta ** (q * m)))
         rows.append(ConvexityRow(power=m, normalized=value, target=target,
                                  gap=float(np.linalg.norm(value - target))))
-        m *= 2
     return rows
 
 

@@ -7,10 +7,11 @@ tests assert; widening them makes eigenframe conditioning eat into
 the error budgets.
 """
 
+import mpmath
 import numpy as np
 
 from affinv import fuchsian, numkernel
-from affinv.freegroup import AffineRepresentation
+from affinv.freegroup import AffineRepresentation, _letter_table
 
 LN3 = np.log(3.0)
 
@@ -96,3 +97,13 @@ def ill_conditioned_eigenframe_pair():
     p = np.array([[1.0, np.cos(1e-12)], [0.0, np.sin(1e-12)]])
     d = 1.0 + 1e-5
     return p @ np.diag([d, 1.0 / d]) @ np.linalg.inv(p), np.diag([2.0, 0.5])
+
+
+def mp_letter_table(rep):
+    """The letter triples (g, g^{-1}, Y) of rep in mpmath, at the working
+    precision, as the power-word experiments form them."""
+    gens = []
+    for g, y in zip(rep.rho, rep.u):
+        g = mpmath.matrix(g.tolist())
+        gens.append((g, g ** -1, mpmath.matrix(y.tolist())))
+    return _letter_table(gens)

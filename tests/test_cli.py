@@ -321,6 +321,30 @@ def test_sizes_below_one_are_schema_errors(capsys, argv, option):
     assert error["error"] == "SchemaError" and option in error["message"]
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["spectrum", fixture("schottky_n2.json"), "--max-length", str(cli.MAX_LENGTH + 1)],
+     "--max-length"),
+    (["proper", fixture("schottky_n2.json"), "--max-length", str(cli.MAX_LENGTH + 1)],
+     "--max-length"),
+    (["limit", fixture("schottky_n2.json"), "a", "b", "--max-power", str(cli.MAX_POWER + 1)],
+     "--max-power"),
+    (["lw", str(cli.MAX_LW_N + 1), "2"], "lw")],
+    ids=["spectrum", "proper", "limit", "lw"])
+def test_sizes_above_their_caps_are_refused_before_any_work(capsys, monkeypatch, argv, option):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before validation")
+
+    for module, name in ((cli, "load_rep"), (cli.spectra, "sample_spectrum"),
+                         (cli.spectra, "limit_formula_experiment"),
+                         (cli.fuchsian, "lw_direction_exact")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and option in error["message"]
+
+
 def test_deriv_direction_out_of_range(capsys):
     code, _, err = run(capsys, "deriv", fixture("schottky_n2.json"), "a", "5")
     assert code == 2

@@ -1,16 +1,18 @@
 """Spectrum sampling, properness diagnostics, limit and convexity probes."""
 
+import functools
 import io
+import math
 import os
 
 import mpmath
 import numpy as np
 import pytest
 
-from affinv import cli, fuchsian, numkernel, spectra
+from affinv import cartan, cli, fuchsian, numkernel, spectra
 from affinv.cartan import NotTransverse, omega0
-from affinv.freegroup import (AffineRepresentation, Word,
-                              enumerate_conjugacy_reps, eval_affine)
+from affinv.freegroup import (AffineRepresentation, Word, _mul, _pow, _product,
+                              cyclic_reduce, enumerate_conjugacy_reps, eval_affine)
 from affinv.invariants import margulis_invariant
 from affinv.numkernel import (ComplexSpectrum, ModulusCollision,
                               NumericalDegeneracy, Singular)
@@ -19,8 +21,8 @@ from affinv.spectra import (EmptySampleSet, SpectrumSample, anosov_gap_probe,
                             limit_formula_experiment, properness_diagnostic,
                             sample_spectrum, write_spectrum_csv)
 from helpers import (LN3, coboundary_rep, derivative_cocycle_rep,
-                     lifted_schottky_rep, loxodromic, schottky_pair,
-                     small_cocycle_rep, traceless)
+                     lifted_schottky_rep, loxodromic, mp_letter_table,
+                     schottky_pair, small_cocycle_rep, traceless)
 
 
 def diag_rep():
@@ -135,6 +137,19 @@ def test_spectrum_csv_golden():
     assert len(lines) == 5
 
 
+def test_spectrum_csv_cells_are_the_float64_values_formatted_one_by_one():
+    samples = sample_spectrum(schottky_fixture_rep(), 8)
+    assert {s.status for s in samples} == {"ok"}
+    buf = io.StringIO()
+    write_spectrum_csv(samples, 2, buf)
+    lines = ["word,length,jd_1,jd_2,m_1,m_2,status"]
+    for s in samples:
+        cells = [format(float(v), ".17g") for v in s.jordan] \
+            + [format(float(v), ".17g") for v in s.margulis]
+        lines.append(",".join([str(s.word), str(s.length)] + cells + ["ok"]))
+    assert buf.getvalue() == "\n".join(lines) + "\n"
+
+
 def test_spectrum_csv_skipped_rows_have_empty_cells():
     samples = sample_spectrum(rotation_rep(), 1)
     buf = io.StringIO()
@@ -183,6 +198,54 @@ def test_limit_formula_converges_on_the_n4_lift():
                                     Word.from_string("b"), max_power=64)
     assert [r.power for r in rows] == [1, 2, 4, 8, 16, 32, 64]
     assert rows[-1].gap <= 1e-6 * (1 + np.linalg.norm(rows[-1].beta_target))
+
+
+def per_row_margulis(rep, words, powers):
+    """M(prod_i words[i]^powers[i]), its product formed on its own at its own
+    a priori digits: the per-row computation that the one-pass limit and
+    convexity experiments replace, kept here as their reference."""
+    spread = sum(m * np.ptp(cartan.cartan_projection(eval_affine(rep, w)[0]))
+                 for w, m in zip(words, powers))
+    with mpmath.workdps(40 + math.ceil(spread / math.log(10))):
+        table = mp_letter_table(rep)
+        total = functools.reduce(_mul, [_pow(_product(table, w.letters), m)
+                                        for w, m in zip(words, powers)])
+        return spectra._mp_margulis(total)
+
+
+@pytest.mark.parametrize("make_rep, gamma, eta, max_power, powers", [
+    *[(schottky_fixture_rep, g, h, 64, [1, 2, 4, 8, 16, 32, 64])
+      for g, h in (("a", "b"), ("ab", "B"), ("aB", "b"), ("aa", "b"), ("bb", "a"))],
+    (lambda: lifted_schottky_rep(3), "a", "b", 32, [1, 2, 4, 8, 16, 32]),
+    (schottky_fixture_rep, "ab", "B", 10, [1, 2, 4, 8]),
+    (schottky_fixture_rep, "ab", "B", 1, [1]),
+], ids=["a-b", "ab-B", "aB-b", "aa-b", "bb-a", "lift3-a-b", "max-power-10", "max-power-1"])
+def test_limit_formula_is_bitwise_the_per_row_computation(make_rep, gamma, eta,
+                                                          max_power, powers):
+    rep = make_rep()
+    g, h = Word.from_string(gamma), Word.from_string(eta)
+    rows = limit_formula_experiment(rep, g, h, max_power=max_power)
+    assert [r.power for r in rows] == powers
+    for r in rows:
+        m = r.power
+        defect = per_row_margulis(rep, [g, h], [m, m]) - per_row_margulis(rep, [g], [m]) \
+            - per_row_margulis(rep, [h], [m])
+        assert r.defect.tobytes() == defect.tobytes()
+        assert r.gap == float(np.linalg.norm(defect - r.beta_target))
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1)])
+def test_convexity_probe_is_bitwise_the_per_row_computation(p, q):
+    rep = schottky_fixture_rep()
+    g, h = Word.from_string("ab"), Word.from_string("B")
+    rows = convexity_probe(rep, g, h, p, q, max_power=8)
+    assert [r.power for r in rows] == [1, 2, 4, 8]
+    for r in rows:
+        m = r.power
+        value = per_row_margulis(rep, [g, h], [p * m, q * m]) \
+            / len(cyclic_reduce(g ** (p * m) * h ** (q * m)))
+        assert r.normalized.tobytes() == value.tobytes()
+        assert r.gap == float(np.linalg.norm(value - r.target))
 
 
 def test_mp_margulis_rejects_colliding_moduli():
