@@ -30,7 +30,7 @@ class SchemaError(ValueError):
 
 
 # Upper caps on run sizes, each set by a run of a few seconds on 2 shared
-# cores: spectrum --max-length 12 on schottky_n2 (3.1 s), limit --max-power
+# cores: spectrum --max-length 12 on schottky_n2 (2.0 s), limit --max-power
 # 4096 on its pair (ab, aB) (3.4 s) and lw 800 400 (1.9 s).
 MAX_LENGTH, MAX_POWER, MAX_LW_N = 12, 4096, 800
 

@@ -41,6 +41,12 @@ def reduce_letters(letters) -> tuple[int, ...]:
     return tuple(stack)
 
 
+# the string form of each letter, and back
+_CHARS = {sign * (i + 1): chr((ord("a") if sign > 0 else ord("A")) + i)
+          for i in range(26) for sign in (1, -1)}
+_LETTERS = {ch: letter for letter, ch in _CHARS.items()}
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word.  The constructor reduces whatever it is given."""
@@ -51,31 +57,31 @@ class Word:
         object.__setattr__(self, "letters", reduce_letters(self.letters))
 
     @classmethod
+    def _reduced(cls, letters: tuple[int, ...]) -> "Word":
+        """The word of a tuple of int letters that is already freely reduced."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def from_string(cls, text: str, k: int | None = None) -> "Word":
         letters = []
         for ch in text:
             if ch.isspace():
                 continue
-            if "a" <= ch <= "z":
-                idx = ord(ch) - ord("a") + 1
-                letters.append(idx)
-            elif "A" <= ch <= "Z":
-                idx = ord(ch) - ord("A") + 1
-                letters.append(-idx)
-            else:
+            if ch not in _LETTERS:
                 raise UnknownLetter(f"unknown letter {ch!r}")
-            if k is not None and idx > k:
-                raise UnknownLetter(f"letter {ch!r} needs {idx} generators, rep has {k}")
+            letters.append(_LETTERS[ch])
+            if k is not None and abs(letters[-1]) > k:
+                raise UnknownLetter(f"letter {ch!r} needs {abs(letters[-1])} generators, "
+                                    f"rep has {k}")
         return cls(tuple(letters))
 
     def __str__(self) -> str:
-        chars = []
-        for letter in self.letters:
-            idx = abs(letter) - 1
-            if idx >= 26:
-                raise UnknownLetter("string form only supports 26 generators")
-            chars.append(chr((ord("a") if letter > 0 else ord("A")) + idx))
-        return "".join(chars)
+        try:
+            return "".join([_CHARS[letter] for letter in self.letters])
+        except KeyError:
+            raise UnknownLetter("string form only supports 26 generators") from None
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -106,37 +112,49 @@ def cyclic_reduce(word: Word) -> Word:
     return Word(tuple(letters))
 
 
-def _walk_necklaces(k: int, max_length: int, visit, step=None) -> None:
-    """Call visit(ranks, value) for every freely and cyclically reduced
-    necklace over the letter ranks of length 1..max_length, depth first, so
-    in lexicographic order within each length.
-
-    This is the Fredricksen-Kessler-Maiorana recursion (Ruskey, Savage &
-    Wang, "Generating necklaces", J. Algorithms 1992).  With a step, value is
-    the left fold step(...step(step(None, r1), r2)..., rt) over the ranks,
-    formed once per tree node and held only along the current path; without
-    one it is None.
-    """
-    def extend(ranks: list[int], period: int, value):
-        # ranks is a freely reduced prenecklace whose longest Lyndon prefix
-        # has length period; it is a necklace when period divides its length.
-        t = len(ranks)
-        if t % period == 0 and ranks[0] != ranks[-1] ^ 1:
-            visit(ranks, value)
-        if t < max_length:
-            least = ranks[t - period]
-            for r in range(least, 2 * k):
-                if r != ranks[-1] ^ 1:  # no extension of a cancelling prefix is reduced
-                    extend(ranks + [r], period if r == least else t + 1,
-                           None if step is None else step(value, r))
-
-    for r in range(2 * k):
-        extend([r], 1, None if step is None else step(None, r))
-
-
 def _alphabet(k: int) -> list[int]:
     """The letters by rank: alphabet[r] has rank r."""
     return sorted((l for l in range(-k, k + 1) if l), key=_rank)
+
+
+def _necklace_levels(k: int, max_length: int, table=None):
+    """Yield (words, triples) for t = 1..max_length, where words are the
+    freely and cyclically reduced necklaces of length t over the letter ranks,
+    in lexicographic order.  With a table (g, g^{-1}, Y) of stacks indexed by
+    rank, triples stacks the same components of their products, shape
+    (N, n, n) each; without one it is None.
+
+    This walks the Fredricksen-Kessler-Maiorana tree (Ruskey, Savage & Wang,
+    "Generating necklaces", J. Algorithms 1992) one level at a time.  The
+    frontier holds every freely reduced prenecklace of length t, the length
+    of its longest Lyndon prefix (its period) and its product, in
+    lexicographic order; a child appends one rank to its parent and costs one
+    multiply, so the products are eval_affine's left folds, byte for byte.
+    """
+    def necklaces(t, ranks, period):
+        # a prenecklace is a necklace when its period divides its length
+        return (t % period == 0) & (ranks[:, 0] != ranks[:, -1] ^ 1)
+
+    alphabet = np.array(_alphabet(k))
+    candidates = np.arange(2 * k, dtype=np.min_scalar_type(2 * k))
+    ranks, period, triples = candidates[:, None], np.ones(2 * k, dtype=int), table
+    for t in range(1, max_length + 1):
+        keep = necklaces(t, ranks, period)
+        yield ([Word._reduced(tuple(row)) for row in alphabet[ranks[keep]].tolist()],
+               None if table is None else tuple(c[keep] for c in triples))
+        if t == max_length:
+            return
+        least = ranks[np.arange(len(ranks)), t - period]
+        # no extension of a cancelling prefix is reduced
+        parent, r = np.nonzero((candidates >= least[:, None])
+                               & (candidates != ranks[:, -1:] ^ 1))
+        ranks = np.column_stack([ranks[parent], candidates[r]])
+        period = np.where(r == least[parent], period[parent], t + 1)
+        if t + 1 == max_length:  # the last level is not extended: keep its necklaces only
+            last = necklaces(t + 1, ranks, period)
+            parent, r, ranks, period = parent[last], r[last], ranks[last], period[last]
+        if table is not None:
+            triples = _mul(tuple(c[parent] for c in triples), tuple(c[r] for c in table))
 
 
 def enumerate_conjugacy_reps(k: int, max_length: int):
@@ -145,17 +163,11 @@ def enumerate_conjugacy_reps(k: int, max_length: int):
     length-then-lex order.  Classes of w and w^{-1} are both emitted.
 
     These are the freely and cyclically reduced necklaces over the letter
-    ranks, generated directly (see _walk_necklaces); no word is evaluated.
+    ranks, generated directly (see _necklace_levels); no word is evaluated.
     """
     if k < 1:
         raise ValueError("need at least one generator")
-    if max_length < 1:
-        return
-    alphabet = _alphabet(k)
-    by_length: list[list[Word]] = [[] for _ in range(max_length + 1)]
-    _walk_necklaces(k, max_length, lambda ranks, _: by_length[len(ranks)].append(
-        Word(tuple(alphabet[r] for r in ranks))))
-    for words in by_length:
+    for words, _ in _necklace_levels(k, max_length):
         yield from words
 
 
@@ -166,34 +178,12 @@ def evaluate_conjugacy_reps(rep: AffineRepresentation, max_length: int):
     (N, n, n), and reasons[i] is the Singular that eval_affine raises for a
     product beyond float64, or None.
 
-    Each product costs one multiply, from the product of its prefix in the
-    necklace tree; the fold is eval_affine's, so the bytes are the same.
+    Each level of the necklace tree is one stacked multiply of its parents'
+    products by their appended letters (see _necklace_levels).
     """
-    if max_length < 1:
-        return
-    alphabet = _alphabet(rep.k)
-    table = [rep._letters[letter] for letter in alphabet]
-    words: list[list[Word]] = [[] for _ in range(max_length + 1)]
-    # stacks[t][c, i] is component c of (g, g^{-1}, Y) of the i-th word of length t
-    stacks = [np.empty((3, 16, rep.n, rep.n)) for _ in range(max_length + 1)]
-
-    def step(triple, r):
-        return table[r] if triple is None else _mul(triple, table[r])
-
-    def visit(ranks, triple):
-        t = len(ranks)
-        i = len(words[t])
-        words[t].append(Word(tuple(alphabet[r] for r in ranks)))
-        if i == stacks[t].shape[1]:
-            stacks[t] = np.concatenate([stacks[t], np.empty_like(stacks[t])], axis=1)
-        for c in range(3):
-            stacks[t][c, i] = triple[c]
-
-    _walk_necklaces(rep.k, max_length, visit, step)
-    for t in range(1, max_length + 1):
-        g, h, y = stacks[t][:, :len(words[t])]
-        stacks[t] = None
-        yield words[t], g, y, _refusals(g, h, t)
+    table = tuple(map(np.stack, zip(*(rep._letters[l] for l in _alphabet(rep.k)))))
+    for words, (g, h, y) in _necklace_levels(rep.k, max_length, table):
+        yield words, g, y, _refusals(g, h, len(words[0]))
 
 
 @dataclass

@@ -165,7 +165,9 @@ def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL,
 
     Raises ComplexSpectrum when an eigenvalue has a relative imaginary part
     above real_tol, ModulusCollision when two moduli are closer than gap_tol
-    in relative terms, Singular when g is not invertible.  Output is a pure
+    in relative terms, Singular when g is not invertible.  A complex conjugate
+    pair has equal moduli, so at gap_tol >= 0 it is reported as a
+    ModulusCollision; ComplexSpectrum needs gap_tol < 0.  Output is a pure
     function of the input bytes: ties in the sign canonicalization are broken
     by the first index attaining the maximal magnitude.
     """

@@ -149,7 +149,9 @@ def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
     n = len(ok[0].margulis)
     horizon = max(s.length for s in samples)
 
-    normalized = np.array([s.margulis / s.length for s in ok])
+    margulis = np.array([s.margulis for s in ok])
+    lengths = np.array([s.length for s in ok], dtype=float)
+    normalized = margulis / lengths[:, None]
 
     grid = _sphere_grid(n - 1, SPHERE_GRID_SIZE) @ _zero_sum_basis(n)
     hull = grid[int(np.argmax((normalized @ grid.T).min(axis=0)))]
@@ -161,9 +163,9 @@ def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
     functional = candidates[best]
 
     skipped = sum(1 for s in samples if s.status != "ok")
-    degenerate = any(np.linalg.norm(s.margulis) / s.length < tau_zero
-                     and s.length >= horizon / 2 for s in ok)
-    if degenerate:
+    # vecdot matches the BLAS dot behind np.linalg.norm
+    norms = np.sqrt(np.vecdot(margulis, margulis)) / lengths
+    if np.any((norms < tau_zero) & (lengths >= horizon / 2)):
         verdict = "NONPROPER_SIGNATURE"
     elif margin > tau_proper:
         verdict = "PROPER_CANDIDATE"
@@ -196,10 +198,11 @@ def _mp_margulis(pair) -> np.ndarray:
     return np.array([float(mpmath.re(w[i, i])) for i in range(n)])
 
 
-def _power_word_margulis(rep, gamma, eta, p: int, q: int, max_power: int):
+def _power_word_margulis(rep, gamma, eta, pairs, p: int, q: int, max_power: int):
     """(M(g^p), M(h^q), [M(g^(pm) h^(qm)) for m = 1, 2, 4, ... <= max_power]),
     where g and h evaluate gamma and eta, in one mpmath pass: the generators
     are converted once, and g^(pm), h^(qm) carried by one squaring a row.
+    pairs holds the float64 eval_affine of gamma and eta.
 
     The invariant survives a cancellation by a factor of at most exp(s),
     s = sum_i m_i (k_1 - k_n)(w_i) with k the Cartan projection (k_1 is
@@ -207,8 +210,8 @@ def _power_word_margulis(rep, gamma, eta, p: int, q: int, max_power: int):
     s / ln 10 plus 40 guard digits."""
     rows = max(max_power, 0).bit_length()
     top = 1 << max(rows - 1, 0)
-    spread = sum(m * np.ptp(cartan.cartan_projection(eval_affine(rep, w)[0]))
-                 for w, m in zip([gamma, eta], [p * top, q * top]))
+    spread = sum(m * np.ptp(cartan.cartan_projection(g))
+                 for (g, _), m in zip(pairs, [p * top, q * top]))
     with mpmath.workdps(40 + math.ceil(spread / math.log(10))):
         gens = [mpmath.matrix(g.tolist()) for g in rep.rho]
         table = _letter_table([(g, g ** -1, mpmath.matrix(y.tolist())) for g, y in zip(gens, rep.u)])
@@ -248,7 +251,8 @@ def limit_formula_experiment(rep: AffineRepresentation, gamma: Word, eta: Word,
     # M(g^m) = m M(g): g^m has the eigenframe F of g, and the translation
     # part sum_i g^i Y g^-i of (g, Y)^m has the diagonal m diag(F^-1 Y F) in
     # it.  m is a power of two, so scaling the rounded M(g) is exact.
-    m_g, m_h, products = _power_word_margulis(rep, gamma, eta, 1, 1, max_power)
+    m_g, m_h, products = _power_word_margulis(rep, gamma, eta, (pair_g, pair_h),
+                                              1, 1, max_power)
     rows = []
     for i, m_gh in enumerate(products):
         m = 1 << i
@@ -272,12 +276,12 @@ def convexity_probe(rep: AffineRepresentation, gamma: Word, eta: Word,
     combination of the normalized invariants of g and h."""
     len_g = len(cyclic_reduce(gamma))
     len_h = len(cyclic_reduce(eta))
-    m_g = margulis_invariant(*eval_affine(rep, gamma))
-    m_h = margulis_invariant(*eval_affine(rep, eta))
+    pairs = eval_affine(rep, gamma), eval_affine(rep, eta)
+    m_g, m_h = (margulis_invariant(*pair) for pair in pairs)
     target = (p * m_g + q * m_h) / (p * len_g + q * len_h)
 
     rows = []
-    for i, m_gh in enumerate(_power_word_margulis(rep, gamma, eta, p, q, max_power)[2]):
+    for i, m_gh in enumerate(_power_word_margulis(rep, gamma, eta, pairs, p, q, max_power)[2]):
         m = 1 << i
         value = m_gh / len(cyclic_reduce(gamma ** (p * m) * eta ** (q * m)))
         rows.append(ConvexityRow(power=m, normalized=value, target=target,

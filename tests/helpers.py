@@ -7,10 +7,12 @@ tests assert; widening them makes eigenframe conditioning eat into
 the error budgets.
 """
 
+import os
+
 import mpmath
 import numpy as np
 
-from affinv import fuchsian, numkernel
+from affinv import cli, fuchsian, numkernel
 from affinv.freegroup import AffineRepresentation, _letter_table
 
 LN3 = np.log(3.0)
@@ -107,3 +109,9 @@ def mp_letter_table(rep):
         g = mpmath.matrix(g.tolist())
         gens.append((g, g ** -1, mpmath.matrix(y.tolist())))
     return _letter_table(gens)
+
+
+def schottky_fixture_rep():
+    """The representation of fixtures/schottky_n2.json."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "schottky_n2.json")
+    return cli.load_rep(path, numkernel.DEFAULT_TOL)

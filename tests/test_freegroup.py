@@ -10,9 +10,10 @@ from affinv.freegroup import (AffineRepresentation, UnknownLetter, Word,
                               affine_identity, affine_inv, affine_mul,
                               affine_pow, cyclic_reduce,
                               enumerate_conjugacy_reps, eval_affine,
-                              reduce_letters)
+                              evaluate_conjugacy_reps, reduce_letters)
 from affinv.invariants import margulis_invariant
-from helpers import lifted_schottky_rep, schottky_pair, traceless, unimodular
+from helpers import (lifted_schottky_rep, schottky_fixture_rep, schottky_pair,
+                     traceless, unimodular)
 
 
 def brute_conjugacy_reps(k, max_length):
@@ -40,6 +41,16 @@ def test_parse_str_roundtrip():
     assert str(w) == "abAB"
     assert str(Word.from_string("")) == ""
     assert Word.from_string("cC", k=3).letters == ()
+
+
+def test_str_reads_one_char_per_letter():
+    letters = tuple(range(1, 27)) + tuple(range(-1, -27, -1))
+    expected = "".join(chr((ord("a") if l > 0 else ord("A")) + abs(l) - 1) for l in letters)
+    assert str(Word(letters)) == expected
+    assert Word.from_string(expected).letters == letters
+    for letter in (27, -27):
+        with pytest.raises(UnknownLetter):
+            str(Word((1, letter)))
 
 
 def test_unknown_letter_rejected():
@@ -116,6 +127,42 @@ def test_enumeration_words_are_cyclically_reduced_min_rotations():
         assert cyclic_reduce(w) == w
         rotations = [w.letters[i:] + w.letters[:i] for i in range(len(w))]
         assert min(Word(r).sort_key() for r in rotations) == w.sort_key()
+
+
+@pytest.mark.parametrize("k,max_length", [(1, 6), (2, 6), (3, 4)])
+def test_enumerated_words_are_the_reducing_constructor(k, max_length):
+    # the walk builds its words without re-reducing them
+    for w in enumerate_conjugacy_reps(k, max_length):
+        assert all(type(l) is int for l in w.letters)
+        assert w == Word(w.letters) and hash(w) == hash(Word(w.letters))
+
+
+def random_rep_k3():
+    rng = np.random.default_rng(7)
+    return AffineRepresentation(3, 3, [unimodular(3, rng, 0.5) for _ in range(3)],
+                                [traceless(3, rng) for _ in range(3)])
+
+
+@pytest.mark.parametrize("make_rep, max_length", [
+    (random_rep_k3, 5), (schottky_fixture_rep, 10),
+], ids=["random-k3-5", "schottky_n2-10"])
+def test_evaluate_conjugacy_reps_is_bytewise_eval_affine(make_rep, max_length):
+    # each level's stacked multiply gives the bytes of the word-by-word fold,
+    # also where the tree branches beyond four ranks (k = 3)
+    rep = make_rep()
+    levels = list(evaluate_conjugacy_reps(rep, max_length))
+    assert [w for words, *_ in levels for w in words] == \
+        list(enumerate_conjugacy_reps(rep.k, max_length))
+    for words, g, y, reasons in levels:
+        assert g.shape == y.shape == (len(words), rep.n, rep.n)
+        for word, gi, yi, reason in zip(words, g, y, reasons):
+            try:
+                ref_g, ref_y = eval_affine(rep, word)
+            except numkernel.Singular:
+                assert isinstance(reason, numkernel.Singular)
+                continue
+            assert reason is None
+            assert gi.tobytes() == ref_g.tobytes() and yi.tobytes() == ref_y.tobytes()
 
 
 def test_representation_validation():

@@ -1,15 +1,15 @@
 """Spectrum sampling, properness diagnostics, limit and convexity probes."""
 
+import dataclasses
 import functools
 import io
 import math
-import os
 
 import mpmath
 import numpy as np
 import pytest
 
-from affinv import cartan, cli, fuchsian, numkernel, spectra
+from affinv import cartan, fuchsian, numkernel, spectra
 from affinv.cartan import NotTransverse, omega0
 from affinv.freegroup import (AffineRepresentation, Word, _mul, _pow, _product,
                               cyclic_reduce, enumerate_conjugacy_reps, eval_affine)
@@ -22,7 +22,8 @@ from affinv.spectra import (EmptySampleSet, SpectrumSample, anosov_gap_probe,
                             sample_spectrum, write_spectrum_csv)
 from helpers import (LN3, coboundary_rep, derivative_cocycle_rep,
                      lifted_schottky_rep, loxodromic, mp_letter_table,
-                     schottky_pair, small_cocycle_rep, traceless)
+                     schottky_fixture_rep, schottky_pair, small_cocycle_rep,
+                     traceless)
 
 
 def diag_rep():
@@ -100,11 +101,6 @@ def batch_of_one_spectrum(rep, max_length):
     return samples
 
 
-def schottky_fixture_rep():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "schottky_n2.json")
-    return cli.load_rep(path, numkernel.DEFAULT_TOL)
-
-
 @pytest.mark.parametrize("make_rep, max_length, skipped", [
     (schottky_fixture_rep, 8, 0),
     (lambda: lifted_schottky_rep(3), 8, 0),
@@ -168,6 +164,75 @@ def test_properness_verdicts_on_reference_fixtures():
     rep_c, v = coboundary_rep()
     report_c = properness_diagnostic(sample_spectrum(rep_c, 5))
     assert report_c.verdict == "NONPROPER_SIGNATURE"
+
+
+def per_sample_properness(samples, tau_proper=1e-3, tau_zero=1e-6):
+    """(verdict, margin, functional, skipped_count) with one normalization
+    and one norm per sample: the reference for properness_diagnostic."""
+    ok = [s for s in samples if s.status == "ok"]
+    n = len(ok[0].margulis)
+    horizon = max(s.length for s in samples)
+    normalized = np.array([s.margulis / s.length for s in ok])
+    grid = spectra._sphere_grid(n - 1, spectra.SPHERE_GRID_SIZE) @ spectra._zero_sum_basis(n)
+    hull = grid[int(np.argmax((normalized @ grid.T).min(axis=0)))]
+    candidates = spectra._simple_root_functionals(n) + [hull]
+    margins = [float(np.min(normalized @ f)) for f in candidates]
+    best = int(np.argmax(margins))
+    if any(np.linalg.norm(s.margulis) / s.length < tau_zero and s.length >= horizon / 2
+           for s in ok):
+        verdict = "NONPROPER_SIGNATURE"
+    else:
+        verdict = "PROPER_CANDIDATE" if margins[best] > tau_proper else "INCONCLUSIVE"
+    return verdict, margins[best], candidates[best], sum(s.status != "ok" for s in samples)
+
+
+@pytest.mark.parametrize("make_rep, max_length, verdict, skipped", [
+    (schottky_fixture_rep, 8, "PROPER_CANDIDATE", 0),
+    (lambda: lifted_schottky_rep(4), 6, "INCONCLUSIVE", 24),
+    (lambda: coboundary_rep()[0], 5, "NONPROPER_SIGNATURE", 0),
+], ids=["schottky_n2-8", "lift4-6", "coboundary-5"])
+def test_properness_diagnostic_is_the_per_sample_computation(make_rep, max_length,
+                                                             verdict, skipped):
+    samples = sample_spectrum(make_rep(), max_length)
+    report = properness_diagnostic(samples)
+    ref_verdict, ref_margin, ref_functional, ref_skipped = per_sample_properness(samples)
+    assert (report.verdict, report.skipped_count) == (ref_verdict, ref_skipped) \
+        == (verdict, skipped)
+    assert np.float64(report.margin).tobytes() == np.float64(ref_margin).tobytes()
+    assert report.functional.tobytes() == ref_functional.tobytes()
+    # the signature check flips exactly at the least normalized norm of the
+    # words of some length, so a norm off by one ulp changes the verdict
+    floors = {}
+    for s in samples:
+        if s.status == "ok":
+            norm = np.linalg.norm(s.margulis) / s.length
+            floors[s.length] = min(floors.get(s.length, np.inf), norm)
+    for floor in floors.values():
+        for tau_zero in (floor, np.nextafter(floor, np.inf)):
+            assert properness_diagnostic(samples, tau_zero=tau_zero).verdict == \
+                per_sample_properness(samples, tau_zero=tau_zero)[0]
+
+
+@pytest.mark.parametrize("length, signature", [(2, False), (3, True), (6, True)])
+def test_properness_signature_needs_a_word_of_half_the_horizon(length, signature):
+    samples = sample_spectrum(schottky_fixture_rep(), 6)
+    i = next(i for i, s in enumerate(samples) if s.length == length)
+    samples[i] = dataclasses.replace(samples[i], margulis=samples[i].margulis * 1e-9)
+    verdict = properness_diagnostic(samples).verdict
+    assert verdict == per_sample_properness(samples)[0]
+    assert (verdict == "NONPROPER_SIGNATURE") == signature
+
+
+def test_limit_formula_evaluates_each_word_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectra, "eval_affine",
+                        lambda rep, word: calls.append(word) or eval_affine(rep, word))
+    gamma, eta = Word.from_string("ab"), Word.from_string("B")
+    limit_formula_experiment(schottky_fixture_rep(), gamma, eta, max_power=4)
+    assert calls == [gamma, eta]
+    calls.clear()
+    convexity_probe(schottky_fixture_rep(), gamma, eta, 1, 2, max_power=4)
+    assert calls == [gamma, eta]
 
 
 def test_limit_formula_on_schottky_pair():
