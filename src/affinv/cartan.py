@@ -96,16 +96,39 @@ def _unit_columns(frame: np.ndarray) -> np.ndarray:
     return frame / norms
 
 
-def is_transverse(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> bool:
-    """Check F^p + G^(n-p) = R^n for every p via mixed-minor determinants,
-    measured relative to unit column scaling."""
+def _pair_basis(f: Flag, g: Flag, tol: float) -> np.ndarray:
+    """Unit-column basis whose column p spans F^p intersect G^(n-p+1).
+
+    fu, gu are the frames with unit columns and J the order reversal; the
+    unpivoted LU factorization L U = J fu^-1 gu makes fu J L J adapted to
+    both flags.  The mixed minors |det[F^p, G^(n-p)]| are |det fu| times the
+    running products of U's pivots: NotTransverse when one, p = 0..n, is at
+    most tol."""
     n = f.n
-    fu = _unit_columns(f.frame)
-    gu = _unit_columns(g.frame)
-    for p in range(1, n):
-        minor = np.linalg.det(np.hstack([fu[:, :p], gu[:, : n - p]]))
-        if abs(minor) <= tol:
-            return False
+    fu, gu = _unit_columns(f.frame), _unit_columns(g.frame)
+    minor = abs(np.linalg.det(fu))
+    if minor <= tol:
+        raise NotTransverse(f"flags are not transverse: minor p = {n} is {minor:.3g}")
+    a = numkernel.solve(fu, gu)[::-1]
+    lower = np.eye(n)
+    for k in range(n):  # Doolittle: row k of a is now row k of U
+        minor *= abs(a[k, k])
+        if minor <= tol:
+            raise NotTransverse(f"flags are not transverse: minor p = {n - k - 1} is {minor:.3g}")
+        lower[k + 1:, k] = a[k + 1:, k] / a[k, k]
+        a[k + 1:] -= np.outer(lower[k + 1:, k], a[k])
+    basis = fu @ lower[::-1, ::-1]
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def is_transverse(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> bool:
+    """Whether F^p + G^(n-p) = R^n for every p = 0..n: each mixed minor,
+    measured with unit columns, exceeds tol.  p = 0 and p = n ask that both
+    frames be invertible, so a singular frame is never transverse."""
+    try:
+        _pair_basis(f, g, tol)
+    except numkernel.NumericalDegeneracy:
+        return False
     return True
 
 
@@ -116,27 +139,9 @@ def transverse_frame(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> np.ndarra
     (F, G); it is unique up to a diagonal matrix, and this realization is
     deterministic (fixed sign and scale convention).
     """
-    if not is_transverse(f, g, tol=tol):
-        raise NotTransverse("flags are not transverse")
+    h = _pair_basis(f, g, tol)
     n = f.n
-    fu = _unit_columns(f.frame)
-    gu = _unit_columns(g.frame)
-    h = np.empty((n, n))
-    for p in range(1, n + 1):
-        stacked = np.hstack([fu[:, :p], gu[:, : n - p + 1]])
-        # Null vector of the n x (n+1) stack: F-part coefficients give the
-        # intersection direction.
-        _, _, vt = np.linalg.svd(stacked)
-        coeffs = vt[-1]
-        v = fu[:, :p] @ coeffs[:p]
-        norm = np.linalg.norm(v)
-        if norm <= tol:
-            raise NotTransverse(f"intersection at level {p} is numerically empty")
-        v = v / norm
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        h[:, p - 1] = v
+    h *= np.sign(h[np.abs(h).argmax(axis=0), np.arange(n)])
     d = np.linalg.det(h)
     if abs(d) < tol:
         raise NotTransverse("transverse frame is numerically singular")
@@ -148,18 +153,18 @@ def transverse_frame(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> np.ndarra
 
 def co_neutral(f_i: Flag, f_j: Flag, z, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Co-neutral map of the transverse pair (F_i, F_j) applied to traceless z:
-    the diagonal part of z in the transverse frame.  Kills the nilpotent
-    pieces attached to F_i (upper) and F_j (lower).  Linear in z; swapping
-    the pair reverses the result, since the frame of (F_j, F_i) is that of
-    (F_i, F_j) with its columns reversed and rescaled."""
-    h = transverse_frame(f_i, f_j, tol=tol)
+    the diagonal part of z in the transverse frame (or any rescaling of it).
+    Kills the nilpotent pieces attached to F_i (upper) and F_j (lower).
+    Linear in z; swapping the pair reverses the result, since the frame of
+    (F_j, F_i) is that of (F_i, F_j) with its columns reversed and rescaled."""
+    h = _pair_basis(f_i, f_j, tol)
     w = numkernel.solve(h, np.asarray(z, dtype=float) @ h)
     return np.diag(w).copy()
 
 
 def neutral(f_i: Flag, f_j: Flag, y0, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Neutral map: embed a Cartan vector back along the transverse pair."""
-    h = transverse_frame(f_i, f_j, tol=tol)
+    h = _pair_basis(f_i, f_j, tol)
     return numkernel.adjoint(h, np.diag(np.asarray(y0, dtype=float)))
 
 

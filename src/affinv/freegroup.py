@@ -95,10 +95,7 @@ class Word:
     def __pow__(self, m: int) -> "Word":
         if m < 0:
             return self.inverse() ** (-m)
-        out = Word()
-        for _ in range(m):
-            out = out * self
-        return out
+        return Word(self.letters * m)
 
     def sort_key(self):
         return (len(self.letters), tuple(_rank(l) for l in self.letters))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance policy.  Overridable per call; these are the library-wide defaults.
+# Tolerance policy: library-wide defaults, all but REALNESS_TOL overridable per call.
 DEFAULT_TOL = 1e-9          # generic relative comparisons (transversality, det, trace)
 MODULUS_GAP_TOL = 1e-9      # minimal relative gap between eigenvalue moduli
 REALNESS_TOL = 1e-8         # |Im lambda| <= REALNESS_TOL * |lambda| counts as real
@@ -81,8 +81,7 @@ def _usable(stack: np.ndarray, reasons: list) -> np.ndarray:
 
 
 def eigen_loxodromic_stack(g, reasons: list | None = None, *,
-                           gap_tol: float = MODULUS_GAP_TOL,
-                           real_tol: float = REALNESS_TOL) -> tuple[LoxodromicData, list]:
+                           gap_tol: float = MODULUS_GAP_TOL) -> tuple[LoxodromicData, list]:
     """eigen_loxodromic on a stack of finite matrices, shape (N, n, n).
 
     Returns a LoxodromicData whose fields carry a leading batch axis, and a
@@ -126,7 +125,7 @@ def eigen_loxodromic_stack(g, reasons: list | None = None, *,
 
         if np.iscomplexobj(values):
             scale = moduli[:, :1]  # the largest modulus
-            _reject(reasons, np.abs(values.imag) > real_tol * np.maximum(moduli, scale * 1e-300),
+            _reject(reasons, np.abs(values.imag) > REALNESS_TOL * np.maximum(moduli, scale * 1e-300),
                     lambda i: ComplexSpectrum("matrix has a genuinely complex eigenvalue"))
             values, cols = values.real, cols.real
 
@@ -158,13 +157,12 @@ def eigen_loxodromic_stack(g, reasons: list | None = None, *,
                           gap=gap), reasons
 
 
-def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL,
-                     real_tol: float = REALNESS_TOL) -> LoxodromicData:
+def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL) -> LoxodromicData:
     """Eigendecomposition of a real-split proximal matrix: the batch of one
     of eigen_loxodromic_stack.
 
     Raises ComplexSpectrum when an eigenvalue has a relative imaginary part
-    above real_tol, ModulusCollision when two moduli are closer than gap_tol
+    above REALNESS_TOL, ModulusCollision when two moduli are closer than gap_tol
     in relative terms, Singular when g is not invertible.  A complex conjugate
     pair has equal moduli, so at gap_tol >= 0 it is reported as a
     ModulusCollision; ComplexSpectrum needs gap_tol < 0.  Output is a pure
@@ -174,7 +172,7 @@ def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL,
     g = _as_square(g)
     if not np.isfinite(g).all():
         raise ValueError("matrix contains non-finite entries")
-    lox, reasons = eigen_loxodromic_stack(g[None], gap_tol=gap_tol, real_tol=real_tol)
+    lox, reasons = eigen_loxodromic_stack(g[None], gap_tol=gap_tol)
     if reasons[0] is not None:
         raise reasons[0]
     return LoxodromicData(eigenvalues=lox.eigenvalues[0], frame=lox.frame[0],

@@ -75,14 +75,12 @@ def write_spectrum_csv(samples, n: int, stream) -> None:
     header = ["word", "length"] + [f"jd_{i+1}" for i in range(n)] \
         + [f"m_{i+1}" for i in range(n)] + ["status"]
     stream.write(",".join(header) + "\n")
+    ok_row = "%s,%d," + "%.17g," * (2 * n) + "ok\n"
     for s in samples:
         if s.status == "ok":
-            cells = [format(v, ".17g") for v in s.jordan.tolist() + s.margulis.tolist()]
-            status = "ok"
+            stream.write(ok_row % (s.word, s.length, *s.jordan.tolist(), *s.margulis.tolist()))
         else:
-            cells = [""] * (2 * n)
-            status = f"skipped({s.reason})"
-        stream.write(",".join([str(s.word), str(s.length)] + cells + [status]) + "\n")
+            stream.write(f"{s.word},{s.length},{',' * (2 * n)}skipped({s.reason})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +275,11 @@ def convexity_probe(rep: AffineRepresentation, gamma: Word, eta: Word,
     len_g = len(cyclic_reduce(gamma))
     len_h = len(cyclic_reduce(eta))
     pairs = eval_affine(rep, gamma), eval_affine(rep, eta)
-    m_g, m_h = (margulis_invariant(*pair) for pair in pairs)
-    target = (p * m_g + q * m_h) / (p * len_g + q * len_h)
+    m_gp, m_hq, products = _power_word_margulis(rep, gamma, eta, pairs, p, q, max_power)
+    target = (m_gp + m_hq) / (p * len_g + q * len_h)
 
     rows = []
-    for i, m_gh in enumerate(_power_word_margulis(rep, gamma, eta, pairs, p, q, max_power)[2]):
+    for i, m_gh in enumerate(products):
         m = 1 << i
         value = m_gh / len(cyclic_reduce(gamma ** (p * m) * eta ** (q * m)))
         rows.append(ConvexityRow(power=m, normalized=value, target=target,

@@ -106,6 +106,16 @@ def test_transversality_matches_rank_oracle():
                                  [0.0, 0.0, 1.0],
                                  [0.0, 1.0, 0.0]]))
     assert not is_transverse(f, shared_line)
+    # a singular frame is never transverse, even where the mixed minors of
+    # p = 1..n-1 are far from zero
+    singular = Flag(np.array([[1.0, 2.0, 3.0],
+                              [2.0, 4.0, 6.0],
+                              [0.0, 1.0, 1.0]]))
+    generic = Flag(np.eye(3)[:, [0, 2, 1]])
+    for pair in ((singular, generic), (generic, singular)):
+        assert is_transverse(*pair) is False
+        with pytest.raises(NotTransverse):
+            transverse_frame(*pair)
 
 
 def test_transverse_frame_membership_and_determinism():

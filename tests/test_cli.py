@@ -245,6 +245,20 @@ def test_crossratio_rejects_non_finite_base(tmp_path, capsys):
     assert "finite" in json.loads(err)["message"]
 
 
+def test_crossratio_with_a_singular_frame_is_a_numerical_degeneracy(tmp_path, capsys):
+    frames = [np.eye(3), np.eye(3)[:, ::-1],
+              [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], np.eye(3)[:, [0, 2, 1]]]
+    spaces = [{"frame": [float(v) for v in np.ravel(fr)], "base": [0.0] * 9} for fr in frames]
+    path = tmp_path / "spaces.json"
+    path.write_text(json.dumps({"n": 3, "spaces": spaces}))
+    code, out, err = run(capsys, "crossratio", str(path))
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NotTransverse"
+
+
 @pytest.mark.parametrize("gamma,eta,max_power", [("aa", "b", 128), ("bb", "ab", 256)])
 def test_limit_command_at_high_powers(capsys, gamma, eta, max_power):
     # the final products span up to about 370 and 900 decimal orders

@@ -1,8 +1,10 @@
 """Property tests of the Margulis invariant identities that the power-word
 experiments rely on: M(g^k) = k M(g) and M(g^-1) = -omega0 M(g), in float64
-and through the mpmath path.  hypothesis is an optional test-time tool; the
+and through the mpmath path; and of the symmetries and the cocycle identity
+of the affine cross ratio.  hypothesis is an optional test-time tool; the
 module is skipped without it."""
 
+import itertools
 import math
 import os
 
@@ -11,13 +13,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from affinv import cartan, cli, numkernel, spectra  # noqa: E402
-from affinv.cartan import omega0  # noqa: E402
+from affinv.cartan import Flag, is_transverse, omega0  # noqa: E402
 from affinv.freegroup import _inv, _pow, _product, enumerate_conjugacy_reps, eval_affine  # noqa: E402
-from affinv.invariants import margulis_invariant  # noqa: E402
-from helpers import lifted_schottky_rep, mp_letter_table  # noqa: E402
+from affinv.invariants import AffineParabolic, cross_ratio, margulis_invariant  # noqa: E402
+from helpers import frame, lifted_schottky_rep, mp_letter_table, traceless  # noqa: E402
 
 REPS = {
     "schottky_n2": cli.load_rep(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
@@ -34,7 +36,8 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 def budget(m, k=1):
-    """The acceptance identity tolerance 1e-8 (1 + |M|), times the power."""
+    """The acceptance identity tolerance 1e-8 (1 + |M|), times the power; M is
+    a Margulis invariant or a cross ratio."""
     return 1e-8 * (1 + np.linalg.norm(m)) * k
 
 
@@ -65,3 +68,42 @@ def test_mp_margulis_of_powers_and_inverses(name, word, k):
         m_inv = spectra._mp_margulis(_inv(t))
     assert np.max(np.abs(m_k - k * m)) <= budget(m, k)
     assert np.max(np.abs(m_inv + omega0(m))) <= budget(m)
+
+
+@st.composite
+def transverse_spaces(draw):
+    """Five affine parabolic spaces of sl(n), n = 2..4, whose flags are
+    pairwise transverse with a margin: every mixed minor of unit columns
+    above 1e-3, as criterion 1 asks, so that conditioning stays out of the
+    tolerance."""
+    n = draw(st.integers(2, 4), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    spaces = [AffineParabolic(Flag(frame(n, rng, 0.8)), traceless(n, rng)) for _ in range(5)]
+    assume(all(is_transverse(a.flag, b.flag, tol=1e-3)
+               for a, b in itertools.combinations(spaces, 2)))
+    return spaces
+
+
+@PROPERTY_SETTINGS
+@given(spaces=transverse_spaces())
+def test_cross_ratio_is_fixed_by_swapping_within_both_pairs(spaces):
+    a1, a2, a3, a4, _ = spaces
+    beta = cross_ratio(a1, a2, a3, a4)
+    assert np.max(np.abs(cross_ratio(a2, a1, a4, a3) - beta)) <= budget(beta)
+
+
+@PROPERTY_SETTINGS
+@given(spaces=transverse_spaces())
+def test_cross_ratio_changes_sign_when_the_last_two_swap(spaces):
+    a1, a2, a3, a4, _ = spaces
+    beta = cross_ratio(a1, a2, a3, a4)
+    assert np.max(np.abs(cross_ratio(a1, a2, a4, a3) + beta)) <= budget(beta)
+
+
+@PROPERTY_SETTINGS
+@given(spaces=transverse_spaces())
+def test_cross_ratio_cocycle(spaces):
+    a1, a2, a3, a4, astar = spaces
+    beta = cross_ratio(a1, a2, a3, a4)
+    split = cross_ratio(a1, astar, a3, a4) + cross_ratio(astar, a2, a3, a4)
+    assert np.max(np.abs(split - beta)) <= budget(beta)
