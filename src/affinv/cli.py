@@ -20,19 +20,15 @@ import numpy as np
 
 from . import fuchsian, numkernel, spectra
 from .cartan import Flag
-from .freegroup import AffineRepresentation, UnknownLetter, Word, eval_affine
+from .freegroup import AffineRepresentation, SchemaError, UnknownLetter, Word, eval_affine
 from .invariants import AffineParabolic, cross_ratio, margulis_invariant
 from .numkernel import NumericalDegeneracy
 
 
-class SchemaError(ValueError):
-    pass
-
-
-# Upper caps on run sizes, each set by a run of a few seconds on 2 shared
-# cores: spectrum --max-length 12 on schottky_n2 (2.0 s), limit --max-power
-# 4096 on its pair (ab, aB) (3.4 s) and lw 800 400 (1.9 s).
-MAX_LENGTH, MAX_POWER, MAX_LW_N = 12, 4096, 800
+# Upper caps on run sizes, each set by a run of a few seconds on 2 shared cores: spectrum
+# --max-length 12 on schottky_n2 (2.0 s; with k generators, (2k - 1)^L <= 3^12), limit
+# --max-power 4096 on its pair (ab, aB) (3.4 s), lw 800 400 (1.9 s), fuchsian 400 (1.6 s).
+MAX_LENGTH, MAX_POWER, MAX_LW_N, MAX_LIFT_N = 12, 4096, 800, 400
 
 
 def _as_matrix(values, n: int, what: str) -> np.ndarray:
@@ -47,7 +43,8 @@ def _as_matrix(values, n: int, what: str) -> np.ndarray:
     return matrix
 
 
-def load_rep(path: str, tol: float) -> AffineRepresentation:
+def _read_object(path: str, *keys: str) -> dict:
+    """The JSON object in a file: it must hold the keys and n, an integer >= 2."""
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -55,13 +52,18 @@ def load_rep(path: str, tol: float) -> AffineRepresentation:
             raise OSError(f"{path}: not parseable as JSON ({exc})") from None
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
-    for key in ("n", "k", "generators"):
+    for key in ("n",) + keys:
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
-    n, k = data["n"], data["k"]
-    if not (isinstance(n, int) and n >= 2):
+    if not (type(data["n"]) is int and data["n"] >= 2):  # a JSON true is no integer here
         raise SchemaError("n must be an integer >= 2")
-    if not (isinstance(k, int) and k >= 1):
+    return data
+
+
+def load_rep(path: str, tol: float) -> AffineRepresentation:
+    data = _read_object(path, "k", "generators")
+    n, k = data["n"], data["k"]
+    if not (type(k) is int and k >= 1):
         raise SchemaError("k must be an integer >= 1")
     gens = data["generators"]
     if not isinstance(gens, list) or len(gens) != k:
@@ -72,11 +74,7 @@ def load_rep(path: str, tol: float) -> AffineRepresentation:
             raise SchemaError(f"generator {i}: expected an object with rho and u")
         rho.append(_as_matrix(gen["rho"], n, f"generator {i}: rho"))
         u.append(_as_matrix(gen["u"], n, f"generator {i}: u"))
-    try:
-        return AffineRepresentation(n=n, k=k, rho=rho, u=u,
-                                    metadata=data.get("metadata", {}), tol=tol)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return AffineRepresentation(n, k, rho, u, data.get("metadata", {}), tol)
 
 
 def rep_to_dict(rep: AffineRepresentation) -> dict:
@@ -121,16 +119,8 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_crossratio(args) -> int:
-    with open(args.spaces) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise OSError(f"{args.spaces}: not parseable as JSON ({exc})") from None
-    if not isinstance(data, dict) or "n" not in data or "spaces" not in data:
-        raise SchemaError("expected an object with keys n and spaces")
+    data = _read_object(args.spaces, "spaces")
     n = data["n"]
-    if not (isinstance(n, int) and n >= 2):
-        raise SchemaError("n must be an integer >= 2")
     raw = data["spaces"]
     if not isinstance(raw, list) or len(raw) != 4:
         raise SchemaError("spaces: expected a list of exactly 4 entries")
@@ -148,9 +138,16 @@ def cmd_crossratio(args) -> int:
     return 0
 
 
-def cmd_spectrum(args) -> int:
+def _sample(args) -> tuple[AffineRepresentation, list]:
     rep = load_rep(args.rep, args.tolerance)
-    samples = spectra.sample_spectrum(rep, args.max_length)
+    if (2 * rep.k - 1) ** args.max_length > 3 ** MAX_LENGTH:
+        raise SchemaError(f"--max-length {args.max_length} is above the cap for "
+                          f"k={rep.k}: (2k-1)^max_length may not exceed 3^{MAX_LENGTH}")
+    return rep, spectra.sample_spectrum(rep, args.max_length)
+
+
+def cmd_spectrum(args) -> int:
+    rep, samples = _sample(args)
     if args.out:
         with open(args.out, "w") as handle:
             spectra.write_spectrum_csv(samples, rep.n, handle)
@@ -161,9 +158,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_proper(args) -> int:
-    rep = load_rep(args.rep, args.tolerance)
-    samples = spectra.sample_spectrum(rep, args.max_length)
-    report = spectra.properness_diagnostic(samples)
+    report = spectra.properness_diagnostic(_sample(args)[1])
     _emit({"horizon": report.horizon, "functional": _vec(report.functional),
            "margin": float(report.margin), "skipped_count": report.skipped_count,
            "verdict": report.verdict})
@@ -206,8 +201,7 @@ def cmd_fuchsian(args) -> int:
     if rep2.n != 2:
         raise SchemaError(f"expected an n=2 representation file, got n={rep2.n}")
     rho, u = fuchsian.lift_representation(args.n, rep2.rho, rep2.u)
-    lifted = AffineRepresentation(n=args.n, k=rep2.k, rho=rho, u=u,
-                                  metadata=rep2.metadata)
+    lifted = AffineRepresentation(args.n, rep2.k, rho, u, rep2.metadata, args.tolerance)
     payload = rep_to_dict(lifted)
     if args.out:
         with open(args.out, "w") as handle:
@@ -295,8 +289,9 @@ def main(argv=None) -> int:
         if not 1 <= value <= cap:
             return _fail(2, "SchemaError",
                          f"--{size.replace('_', '-')} must be in 1..{cap}, got {value}")
-    if args.command == "lw" and args.n > MAX_LW_N:
-        return _fail(2, "SchemaError", f"lw: n must be at most {MAX_LW_N}, got {args.n}")
+    cap = {"lw": MAX_LW_N, "fuchsian": MAX_LIFT_N}.get(args.command)
+    if cap is not None and args.n > cap:
+        return _fail(2, "SchemaError", f"{args.command}: n must be at most {cap}, got {args.n}")
     try:
         return args.func(args)
     except OSError as exc:

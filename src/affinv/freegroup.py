@@ -21,6 +21,10 @@ class UnknownLetter(Exception):
     pass
 
 
+class SchemaError(ValueError):
+    """Representation data that break the schema (the command line's exit 2)."""
+
+
 def _rank(letter: int) -> int:
     """Position of a letter in the order a < A < b < B < ...: rank r ^ 1 is
     the inverse of rank r."""
@@ -196,16 +200,17 @@ class AffineRepresentation:
 
     def __post_init__(self):
         if len(self.rho) != self.k or len(self.u) != self.k:
-            raise ValueError(f"expected {self.k} generators, got {len(self.rho)} rho / {len(self.u)} u")
+            raise SchemaError(f"expected {self.k} generators, got {len(self.rho)} rho / {len(self.u)} u")
         self.rho = [np.asarray(g, dtype=float).reshape(self.n, self.n) for g in self.rho]
         self.u = [np.asarray(y, dtype=float).reshape(self.n, self.n) for y in self.u]
         for i, (g, y) in enumerate(zip(self.rho, self.u)):
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(y))):
-                raise ValueError(f"generator {i}: rho and u must be finite")
-            if not numkernel.is_unimodular(g, tol=self.tol):
-                raise ValueError(f"generator {i}: rho is not unimodular (det {np.linalg.det(g):.12g})")
+                raise SchemaError(f"generator {i}: rho and u must be finite")
+            with np.errstate(over="ignore"):  # a determinant beyond float64 is not 1
+                if not numkernel.is_unimodular(g, tol=self.tol):
+                    raise SchemaError(f"generator {i}: rho is not unimodular (det {np.linalg.det(g):.12g})")
             if not numkernel.is_traceless(y, tol=self.tol):
-                raise ValueError(f"generator {i}: u is not traceless (trace {np.trace(y):.12g})")
+                raise SchemaError(f"generator {i}: u is not traceless (trace {np.trace(y):.12g})")
         limit = numkernel.PRODUCT_CONDITION_LIMIT
         self._letters = _letter_table([(g, numkernel.inverse(g, condition_limit=limit), y)
                                        for g, y in zip(self.rho, self.u)])

@@ -1,5 +1,5 @@
-"""Shared numerical kernel: eigendecompositions of loxodromic matrices,
-singular values, matrix exponentials and guarded linear solves.
+"""Shared numerical kernel: eigendecompositions of loxodromic matrices, singular
+values, matrix exponentials, guarded linear solves and nearest points of hulls.
 
 All other modules route their linear algebra through this file so that the
 tolerance policy lives in exactly one place.
@@ -20,6 +20,8 @@ CONDITION_LIMIT = 1e12      # linear solves refuse anything worse than this
 # Word products refuse |g| |g^{-1}| (Frobenius) from here on: float64 can no
 # longer tell g from a singular matrix, and its small eigenvalues are noise.
 PRODUCT_CONDITION_LIMIT = 1.0 / np.finfo(float).eps
+NEAREST_POINT_TOL = 1e-12   # stopping rule of nearest_point, relative to the largest |p|^2
+NEAREST_POINT_MAX_STEPS = 1000  # nearest_point gives up after this many corral updates
 _TINY = np.finfo(float).tiny * 1e4  # determinants and singular values below this count as zero
 
 
@@ -254,3 +256,33 @@ def is_unimodular(g, *, tol: float = DEFAULT_TOL) -> bool:
 def is_traceless(y, *, tol: float = DEFAULT_TOL) -> bool:
     y = _as_square(y)
     return abs(np.trace(y)) <= tol * (1.0 + np.linalg.norm(y))
+
+
+def nearest_point(points) -> np.ndarray:
+    """The point of the convex hull of the rows of points (N, d) nearest 0, by
+    Wolfe's algorithm (Math. Programming 1976) on the points scaled to unit
+    largest norm, stopped at x.x - min_j x.p_j <= NEAREST_POINT_TOL; its affine
+    steps use unguarded least squares, as a guarded solve can cycle on repeats."""
+    p = np.asarray(points, dtype=float)
+    scale = math.sqrt(np.max(np.vecdot(p, p)))
+    if scale == 0.0:
+        return np.zeros(p.shape[1])
+    p = p / scale
+    corral, weights = [int(np.argmin(np.vecdot(p, p)))], np.ones(1)
+    for _ in range(NEAREST_POINT_MAX_STEPS):
+        q = p[corral]
+        t = np.linalg.lstsq((q[1:] - q[0]).T, -q[0], rcond=None)[0]
+        affine = np.concatenate([[1.0 - t.sum()], t])  # the affine hull's nearest point
+        if np.all(affine > 0.0):
+            x = affine @ q
+            j = int(np.argmin(p @ x))
+            if x @ (x - p[j]) <= NEAREST_POINT_TOL or j in corral:
+                return x * scale
+            corral, weights = corral + [j], np.append(affine, 0.0)
+        else:  # move towards affine until a weight reaches 0, and drop that point
+            out = np.flatnonzero(affine <= 0.0)
+            ratios = weights[out] / np.maximum(weights[out] - affine[out], _TINY)
+            weights += ratios.min() * (affine - weights)
+            weights[out[np.argmin(ratios)]] = 0.0
+            corral, weights = [i for i, w in zip(corral, weights) if w > 0.0], weights[weights > 0.0]
+    raise NumericalDegeneracy(f"nearest_point did not stop in {NEAREST_POINT_MAX_STEPS} steps")

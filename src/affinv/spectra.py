@@ -86,9 +86,6 @@ def write_spectrum_csv(samples, n: int, stream) -> None:
 # ---------------------------------------------------------------------------
 # Properness diagnostics
 
-SPHERE_GRID_SIZE = 1000    # dual-sphere directions tried for the hull support
-
-
 @dataclass(frozen=True)
 class PropernessReport:
     horizon: int
@@ -100,46 +97,20 @@ class PropernessReport:
 
 def _zero_sum_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the zero-sum subspace (rows), Helmert style."""
-    basis = np.zeros((n - 1, n))
-    for i in range(1, n):
-        basis[i - 1, :i] = 1.0
-        basis[i - 1, i] = -float(i)
-        basis[i - 1] /= math.sqrt(i * (i + 1))
-    return basis
-
-
-def _sphere_grid(dim: int, resolution: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if dim == 3:
-        # Fibonacci sphere: deterministic, near-uniform.
-        idx = np.arange(resolution, dtype=float) + 0.5
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * idx
-        z = 1.0 - 2.0 * idx / resolution
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((resolution, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _simple_root_functionals(n: int) -> list[np.ndarray]:
-    return list((np.eye(n)[:-1] - np.eye(n)[1:]) / math.sqrt(2.0))
+    i = np.arange(1.0, n)[:, None]  # row i - 1: i ones, then -i
+    return (np.tril(np.ones((n - 1, n))) - i * np.eye(n - 1, n, 1)) / np.sqrt(i * (i + 1))
 
 
 def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
                           tau_zero: float = 1e-6) -> PropernessReport:
-    """Search for a unit dual functional whose pairing with every sampled
-    length-normalized Margulis invariant stays above a margin.
-
-    Candidates are the simple-root functionals and a hull-support direction
-    fitted on a finite dual-sphere grid (all normalized).  The horizon is the
-    longest sample; a word of length >= horizon/2 with normalized invariant
-    below tau_zero is a non-properness signature and wins over any margin.
-    """
+    """Properness verdict on a sampled spectrum.  p is the point of the convex
+    hull of the length-normalized Margulis invariants nearest 0, found in the
+    zero-sum subspace's orthonormal coordinates; the functional is p/|p|
+    ((e_1 - e_2)/sqrt(2) when p = 0) and the margin its least pairing with the
+    invariants: dist(0, hull) when 0 lies outside the hull, never above |p|.
+    A word of length >= horizon/2 (the longest sample) with normalized norm
+    below tau_zero is a NONPROPER_SIGNATURE; else a margin above tau_proper
+    makes a PROPER_CANDIDATE, and anything else is INCONCLUSIVE."""
     samples = list(samples)
     ok = [s for s in samples if s.status == "ok"]
     if not ok:
@@ -151,14 +122,11 @@ def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
     lengths = np.array([s.length for s in ok], dtype=float)
     normalized = margulis / lengths[:, None]
 
-    grid = _sphere_grid(n - 1, SPHERE_GRID_SIZE) @ _zero_sum_basis(n)
-    hull = grid[int(np.argmax((normalized @ grid.T).min(axis=0)))]
-    candidates = _simple_root_functionals(n) + [hull]
-
-    margins = [float(np.min(normalized @ f)) for f in candidates]
-    best = int(np.argmax(margins))
-    margin = margins[best]
-    functional = candidates[best]
+    basis = _zero_sum_basis(n)
+    nearest = numkernel.nearest_point(normalized @ basis.T)
+    distance = np.linalg.norm(nearest)
+    functional = basis[0] if distance == 0.0 else (nearest / distance) @ basis
+    margin = float(np.min(normalized @ functional))
 
     skipped = sum(1 for s in samples if s.status != "ok")
     # vecdot matches the BLAS dot behind np.linalg.norm

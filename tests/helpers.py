@@ -115,3 +115,35 @@ def schottky_fixture_rep():
     """The representation of fixtures/schottky_n2.json."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "schottky_n2.json")
     return cli.load_rep(path, numkernel.DEFAULT_TOL)
+
+
+def nnls_nearest_point(points):
+    """The point of the convex hull of the rows of points nearest 0, by
+    scipy's NNLS: with u >= 0 minimizing |P^T u|^2 + (sum u - 1)^2, that point
+    is P^T u / sum u (the reference for numkernel.nearest_point)."""
+    from scipy.optimize import nnls
+
+    points = np.asarray(points, dtype=float)
+    u, _ = nnls(np.vstack([points.T, np.ones(len(points))]),
+                np.append(np.zeros(points.shape[1]), 1.0), maxiter=50 * len(points))
+    return points.T @ u / u.sum()
+
+
+def random_point_sets(rng, count):
+    """Point sets (N, d), d = 1..5, at scales 1e-8..1e6: generic clouds,
+    clouds with repeated points, collinear points, coordinates rounded to
+    one digit (ties), and single points, in turn."""
+    for i in range(count):
+        d, m = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+        points = rng.standard_normal((m, d)) + 2.0 * rng.standard_normal(d)
+        kind = i % 5
+        if kind == 1:
+            points = np.vstack([points, points[rng.integers(0, m, size=m)]])
+        elif kind == 2:
+            points = np.outer(rng.standard_normal(m), rng.standard_normal(d)) \
+                + rng.standard_normal(d) * rng.integers(0, 2)
+        elif kind == 3:
+            points = np.round(points, 1)
+        elif kind == 4:
+            points = points[:1]
+        yield points * 10.0 ** rng.uniform(-8, 6)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from affinv import cli
+from affinv import cli, spectra
 from affinv.cartan import omega0
 from affinv.invariants import affine_fixed_parabolics
 from helpers import coboundary_rep, ill_conditioned_eigenframe_pair, traceless
@@ -220,6 +220,25 @@ def test_proper_verdicts(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "PROPER_CANDIDATE"
     assert payload["margin"] > 1e-2
+    # the README line, byte for byte
+    code, out, err = run(capsys, "proper", fixture("schottky_n2.json"), "--max-length", "6")
+    assert (code, err) == (0, "")
+    assert out == ('{"horizon": 6, "functional": [0.7071067811865475, -0.7071067811865475], '
+                   '"margin": 1.3322630905235546, "skipped_count": 0, '
+                   '"verdict": "PROPER_CANDIDATE"}\n')
+
+
+def test_proper_on_a_zero_cocycle(tmp_path, capsys):
+    with open(fixture("schottky_n2.json")) as handle:
+        rep = json.load(handle)
+    for generator in rep["generators"]:
+        generator["u"] = [0.0] * 4
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run(capsys, "proper", str(path))
+    assert (code, err) == (0, "")
+    assert out == ('{"horizon": 6, "functional": [0.7071067811865475, -0.7071067811865475], '
+                   '"margin": 0.0, "skipped_count": 0, "verdict": "NONPROPER_SIGNATURE"}\n')
 
 
 def test_non_finite_cocycle_is_a_schema_error(tmp_path, capsys):
@@ -342,15 +361,17 @@ def test_sizes_below_one_are_schema_errors(capsys, argv, option):
      "--max-length"),
     (["limit", fixture("schottky_n2.json"), "a", "b", "--max-power", str(cli.MAX_POWER + 1)],
      "--max-power"),
-    (["lw", str(cli.MAX_LW_N + 1), "2"], "lw")],
-    ids=["spectrum", "proper", "limit", "lw"])
+    (["lw", str(cli.MAX_LW_N + 1), "2"], "lw"),
+    (["fuchsian", str(cli.MAX_LIFT_N + 1), fixture("schottky_n2.json")], "fuchsian")],
+    ids=["spectrum", "proper", "limit", "lw", "fuchsian"])
 def test_sizes_above_their_caps_are_refused_before_any_work(capsys, monkeypatch, argv, option):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before validation")
 
     for module, name in ((cli, "load_rep"), (cli.spectra, "sample_spectrum"),
                          (cli.spectra, "limit_formula_experiment"),
-                         (cli.fuchsian, "lw_direction_exact")):
+                         (cli.fuchsian, "lw_direction_exact"),
+                         (cli.fuchsian, "lift_representation")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -406,3 +427,52 @@ def test_fuchsian_rejects_lift_dimension_below_two(tmp_path, capsys, n):
 def test_fuchsian_rejects_wrong_input_dimension(capsys):
     code, _, err = run(capsys, "fuchsian", "3", fixture("diag_n3.json"))
     assert code == 2
+
+
+def test_fuchsian_lift_is_validated_at_the_tolerance(capsys):
+    # the n = 12 lift of schottky_n2 has det 1 + 8e-7 in float64
+    code, out, err = run(capsys, "fuchsian", "12", fixture("schottky_n2.json"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and "unimodular" in error["message"]
+    code, out, err = run(capsys, "--tolerance", "1e-5", "fuchsian", "12",
+                         fixture("schottky_n2.json"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 12
+
+
+def write_diagonal_rep(path, k):
+    path.write_text(json.dumps({"n": 2, "k": k, "generators": [
+        {"rho": [2.0 + i, 0.0, 0.0, 1.0 / (2.0 + i)], "u": [0.1, 0.0, 0.0, -0.1]}
+        for i in range(k)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("k, longest", [(1, cli.MAX_LENGTH), (2, cli.MAX_LENGTH), (3, 8), (4, 6)])
+def test_max_length_cap_counts_the_generators(tmp_path, capsys, monkeypatch, k, longest):
+    def no_sampling(rep, max_length):
+        raise spectra.EmptySampleSet("sampling reached")
+
+    monkeypatch.setattr(cli.spectra, "sample_spectrum", no_sampling)
+    path = write_diagonal_rep(tmp_path / "rep.json", k)
+    for command in ("spectrum", "proper"):
+        code, _, err = run(capsys, command, path, "--max-length", str(longest))
+        assert (code, json.loads(err)["message"]) == (3, "sampling reached")
+        if longest < cli.MAX_LENGTH:
+            code, out, err = run(capsys, command, path, "--max-length", str(longest + 1))
+            assert (code, out) == (2, "")
+            error = json.loads(err)
+            assert error["error"] == "SchemaError" and "--max-length" in error["message"]
+
+
+@pytest.mark.parametrize("key", ["n", "k"])
+def test_json_booleans_are_not_counts(tmp_path, capsys, key):
+    data = {"n": 2, "k": 1, "generators": [{"rho": [2.0, 0.0, 0.0, 0.5], "u": [0.0] * 4}]}
+    data[key] = True
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and f"{key} must be an integer" in error["message"]

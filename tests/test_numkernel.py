@@ -1,5 +1,7 @@
 """Eigen/singular kernels against slow independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from affinv.numkernel import (ComplexSpectrum, ModulusCollision, Singular,
                               eigen_loxodromic, eigen_loxodromic_stack,
                               matrix_exp, singular_values)
 from helpers import (frame, ill_conditioned_eigenframe_pair, loxodromic,
-                     traceless, unimodular)
+                     nnls_nearest_point, random_point_sets, traceless, unimodular)
 
 
 def charpoly_coeffs(a):
@@ -217,3 +219,38 @@ def test_solve_stack_is_the_batch_of_one():
     assert reasons[0] is None
     assert "condition number 2e+12" in str(reasons[2])
     assert "condition number inf" in str(reasons[3])
+
+
+def test_nearest_point_against_the_nnls_reference():
+    rng = np.random.default_rng(12)
+    for points in random_point_sets(rng, 1500):
+        p = numkernel.nearest_point(points)
+        ref = nnls_nearest_point(points)
+        scale = np.max(np.linalg.norm(points, axis=1))
+        # certificate: every hull point y has y.p >= min_j x_j.p, so that
+        # |y| >= |p| - (p.p - min_j x_j.p) / |p|
+        assert p @ p - np.min(points @ p) <= 1e-9 * scale ** 2
+        assert np.linalg.norm(p) <= np.linalg.norm(ref) + 1e-9 * scale
+        assert np.linalg.norm(p - ref) <= 1e-6 * scale
+
+
+def test_nearest_point_is_zero_when_the_hull_holds_zero():
+    rng = np.random.default_rng(13)
+    for points in random_point_sets(rng, 500):
+        centered = points - points.mean(axis=0)  # the centroid 0 is in the hull
+        with_zero = np.vstack([points, np.zeros(points.shape[1])])
+        for cloud in (centered, with_zero):
+            scale = np.max(np.linalg.norm(cloud, axis=1))
+            assert np.linalg.norm(numkernel.nearest_point(cloud)) <= 1e-12 * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert numkernel.nearest_point(np.zeros((4, 3))).tobytes() == np.zeros(3).tobytes()
+
+
+def test_nearest_point_raises_instead_of_running_past_its_step_cap(monkeypatch):
+    # the nearest point (1, 0) is on an edge: the walk adds a point and stops
+    triangle = np.array([[1.0, -1.0], [2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(numkernel.nearest_point(triangle), [1.0, 0.0], rtol=0, atol=1e-15)
+    monkeypatch.setattr(numkernel, "NEAREST_POINT_MAX_STEPS", 1)
+    with pytest.raises(numkernel.NumericalDegeneracy, match="did not stop"):
+        numkernel.nearest_point(triangle)

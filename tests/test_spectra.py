@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from affinv.spectra import (EmptySampleSet, SpectrumSample, anosov_gap_probe,
                             limit_formula_experiment, properness_diagnostic,
                             sample_spectrum, write_spectrum_csv)
 from helpers import (LN3, coboundary_rep, derivative_cocycle_rep,
-                     lifted_schottky_rep, loxodromic, mp_letter_table,
+                     lifted_schottky_rep, loxodromic, mp_letter_table, nnls_nearest_point,
                      schottky_fixture_rep, schottky_pair, small_cocycle_rep,
                      traceless)
 
@@ -173,17 +174,17 @@ def per_sample_properness(samples, tau_proper=1e-3, tau_zero=1e-6):
     n = len(ok[0].margulis)
     horizon = max(s.length for s in samples)
     normalized = np.array([s.margulis / s.length for s in ok])
-    grid = spectra._sphere_grid(n - 1, spectra.SPHERE_GRID_SIZE) @ spectra._zero_sum_basis(n)
-    hull = grid[int(np.argmax((normalized @ grid.T).min(axis=0)))]
-    candidates = spectra._simple_root_functionals(n) + [hull]
-    margins = [float(np.min(normalized @ f)) for f in candidates]
-    best = int(np.argmax(margins))
+    basis = spectra._zero_sum_basis(n)
+    nearest = numkernel.nearest_point(normalized @ basis.T)
+    distance = np.linalg.norm(nearest)
+    functional = basis[0] if distance == 0.0 else (nearest / distance) @ basis
+    margin = float(np.min(normalized @ functional))
     if any(np.linalg.norm(s.margulis) / s.length < tau_zero and s.length >= horizon / 2
            for s in ok):
         verdict = "NONPROPER_SIGNATURE"
     else:
-        verdict = "PROPER_CANDIDATE" if margins[best] > tau_proper else "INCONCLUSIVE"
-    return verdict, margins[best], candidates[best], sum(s.status != "ok" for s in samples)
+        verdict = "PROPER_CANDIDATE" if margin > tau_proper else "INCONCLUSIVE"
+    return verdict, margin, functional, sum(s.status != "ok" for s in samples)
 
 
 @pytest.mark.parametrize("make_rep, max_length, verdict, skipped", [
@@ -211,6 +212,42 @@ def test_properness_diagnostic_is_the_per_sample_computation(make_rep, max_lengt
         for tau_zero in (floor, np.nextafter(floor, np.inf)):
             assert properness_diagnostic(samples, tau_zero=tau_zero).verdict == \
                 per_sample_properness(samples, tau_zero=tau_zero)[0]
+
+
+def test_properness_margin_is_exact_on_the_diagonal_rep():
+    # M(a) = (1/4, -1/8, -1/8) and M(A) = (1/8, 1/8, -1/4) for every power:
+    # the hull is their segment, whose nearest point to 0 is its midpoint
+    report = properness_diagnostic(sample_spectrum(diag_rep(), 6))
+    assert abs(report.margin - 0.375 / math.sqrt(2.0)) <= 1e-12
+    np.testing.assert_allclose(report.functional, np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0),
+                               rtol=0, atol=1e-12)
+    assert report.verdict == "PROPER_CANDIDATE"
+
+
+@pytest.mark.parametrize("n, max_length, verdict", [
+    (4, 6, "INCONCLUSIVE"), (5, 5, "PROPER_CANDIDATE"), (6, 4, "PROPER_CANDIDATE")])
+def test_properness_margin_on_the_lifts_is_the_hull_distance(n, max_length, verdict):
+    samples = sample_spectrum(lifted_schottky_rep(n), max_length)
+    report = properness_diagnostic(samples)
+    normalized = np.array([s.margulis / s.length for s in samples if s.status == "ok"])
+    # float64 invariants of these lifts are zero-sum only to within 4e-4
+    nearest = nnls_nearest_point(normalized - normalized.mean(axis=1, keepdims=True))
+    assert abs(report.margin - np.linalg.norm(nearest)) <= 1e-8
+    np.testing.assert_allclose(report.functional, nearest / np.linalg.norm(nearest),
+                               rtol=0, atol=1e-6)
+    assert abs(report.functional.sum()) <= 1e-14
+    assert report.verdict == verdict
+
+
+def test_properness_of_a_zero_cocycle_is_quiet():
+    rep = schottky_fixture_rep()
+    rep = AffineRepresentation(2, 2, rep.rho, [np.zeros((2, 2))] * 2)
+    samples = sample_spectrum(rep, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = properness_diagnostic(samples)
+    assert report.functional.tobytes() == (np.array([1.0, -1.0]) / math.sqrt(2.0)).tobytes()
+    assert (report.margin, report.verdict) == (0.0, "NONPROPER_SIGNATURE")
 
 
 @pytest.mark.parametrize("length, signature", [(2, False), (3, True), (6, True)])
