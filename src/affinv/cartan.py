@@ -14,17 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel
-from .numkernel import DEFAULT_TOL, MODULUS_GAP_TOL, LoxodromicData, Singular
+from .numkernel import DEFAULT_TOL, LoxodromicData, Singular
 
 
 class NotTransverse(numkernel.NumericalDegeneracy):
     pass
 
 
-def jordan_projection(g, *, gap_tol: float = MODULUS_GAP_TOL) -> np.ndarray:
+def jordan_projection(g) -> np.ndarray:
     """Sorted log eigenvalue moduli (decreasing).  Requires pairwise distinct
     moduli; a complex conjugate pair collides and is rejected the same way."""
-    return np.log(np.abs(numkernel.eigen_loxodromic(g, gap_tol=gap_tol).eigenvalues))
+    return np.log(np.abs(numkernel.eigen_loxodromic(g).eigenvalues))
 
 
 def cartan_projection(g) -> np.ndarray:
@@ -89,36 +89,54 @@ def flags_of(lox: LoxodromicData) -> tuple[Flag, Flag]:
     return Flag(lox.frame), Flag(lox.frame[:, ::-1])
 
 
-def _unit_columns(frame: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(frame, axis=0)
-    if np.any(norms == 0.0):
-        raise Singular("flag frame has a zero column")
-    return frame / norms
+def _flag_pairs(frames, pairs, z=None, *, tol: float):
+    """Factor the flag pairs (frames[i], frames[j]), (i, j) in pairs, at once.
 
+    Each frame gets unit columns, each column divided by its largest |entry|
+    first: no column scale overflows, and a power of two moves no bit.  With
+    fu, gu the frames of a pair and J the order reversal, one guarded solve
+    gives fu^-1 gu (and fu^-1 z fu), and the unpivoted LU factorization
+    L U = J fu^-1 gu makes fu m, m = J L J, adapted to both flags.  The mixed
+    minors |det[F^p, G^(n-p)]|, p = n..0, are |det fu| times the running
+    products of U's pivots: NotTransverse when one is at most tol.  The
+    co-neutral map of z is the diagonal of m^-1 (fu^-1 z fu) m; m is unit
+    upper triangular, so its solve needs no guard.
 
-def _pair_basis(f: Flag, g: Flag, tol: float) -> np.ndarray:
-    """Unit-column basis whose column p spans F^p intersect G^(n-p+1).
-
-    fu, gu are the frames with unit columns and J the order reversal; the
-    unpivoted LU factorization L U = J fu^-1 gu makes fu J L J adapted to
-    both flags.  The mixed minors |det[F^p, G^(n-p)]| are |det fu| times the
-    running products of U's pivots: NotTransverse when one, p = 0..n, is at
-    most tol."""
-    n = f.n
-    fu, gu = _unit_columns(f.frame), _unit_columns(g.frame)
-    minor = abs(np.linalg.det(fu))
-    if minor <= tol:
-        raise NotTransverse(f"flags are not transverse: minor p = {n} is {minor:.3g}")
-    a = numkernel.solve(fu, gu)[::-1]
-    lower = np.eye(n)
-    for k in range(n):  # Doolittle: row k of a is now row k of U
-        minor *= abs(a[k, k])
-        if minor <= tol:
-            raise NotTransverse(f"flags are not transverse: minor p = {n - k - 1} is {minor:.3g}")
-        lower[k + 1:, k] = a[k + 1:, k] / a[k, k]
-        a[k + 1:] -= np.outer(lower[k + 1:, k], a[k])
-    basis = fu @ lower[::-1, ::-1]
-    return basis / np.linalg.norm(basis, axis=0)
+    Returns the frames fu m with unit columns (K, n, n), column p spanning
+    F^p intersect G^(n-p+1), and the co-neutral maps of the z[k] under pair k
+    (K, n), or None when z is None.
+    """
+    frames = np.array(frames, dtype=float)
+    big = np.maximum.reduce(np.abs(frames), axis=1, keepdims=True)
+    if np.count_nonzero(big) < big.size:
+        i, j = next(p for p in pairs if not big[list(p)].all())
+        raise NotTransverse(f"flags {i} and {j} are not transverse: a frame has a zero column")
+    unit = frames / big
+    unit /= np.sqrt(np.vecdot(unit, unit, axis=1))[:, None]
+    fu, gu = unit[np.array(pairs).T]
+    n = frames.shape[-1]
+    x, reasons = numkernel.solve_stack(fu, gu if z is None else np.concatenate([gu, z @ fu], axis=2))
+    a = x[:, ::-1, :n]  # J fu^-1 gu; the columns past n hold fu^-1 z fu
+    m = np.eye(n)[None].repeat(len(fu), axis=0)
+    lower = m[:, ::-1, ::-1]  # L, so that m = J L J
+    with np.errstate(divide="ignore", invalid="ignore"):  # past a zero pivot, nothing is used
+        for k in range(n - 1):  # Doolittle: row k of a is now row k of U
+            lower[:, k + 1:, k] = a[:, k + 1:, k] / a[:, k, k, None]
+            a[:, k + 1:, k + 1:] -= lower[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+        minors = np.multiply.accumulate(np.abs(np.concatenate(
+            [np.linalg.det(fu)[:, None], np.diagonal(a, axis1=1, axis2=2)], axis=1)), axis=1)
+    if np.count_nonzero(minors <= tol) or reasons.count(None) < len(reasons):
+        for k, (i, j) in enumerate(pairs):  # a pair's checks in order: p = n, the solve, p < n
+            if reasons[k] is not None and minors[k, 0] > tol:
+                raise reasons[k]
+            bad = np.flatnonzero(minors[k] <= tol)
+            if len(bad):
+                raise NotTransverse(f"flags {i} and {j} are not transverse: "
+                                    f"minor p = {n - bad[0]} is {minors[k, bad[0]]:.3g}")
+    h = fu @ m
+    h /= np.sqrt(np.vecdot(h, h, axis=1))[:, None]
+    co = None if z is None else np.diagonal(np.linalg.solve(m, x[:, :, n:] @ m), axis1=1, axis2=2)
+    return h, co
 
 
 def is_transverse(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> bool:
@@ -126,7 +144,7 @@ def is_transverse(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> bool:
     measured with unit columns, exceeds tol.  p = 0 and p = n ask that both
     frames be invertible, so a singular frame is never transverse."""
     try:
-        _pair_basis(f, g, tol)
+        _flag_pairs([f.frame, g.frame], [(0, 1)], tol=tol)
     except numkernel.NumericalDegeneracy:
         return False
     return True
@@ -139,7 +157,7 @@ def transverse_frame(f: Flag, g: Flag, *, tol: float = DEFAULT_TOL) -> np.ndarra
     (F, G); it is unique up to a diagonal matrix, and this realization is
     deterministic (fixed sign and scale convention).
     """
-    h = _pair_basis(f, g, tol)
+    h = _flag_pairs([f.frame, g.frame], [(0, 1)], tol=tol)[0][0]
     n = f.n
     h *= np.sign(h[np.abs(h).argmax(axis=0), np.arange(n)])
     d = np.linalg.det(h)
@@ -157,14 +175,13 @@ def co_neutral(f_i: Flag, f_j: Flag, z, *, tol: float = DEFAULT_TOL) -> np.ndarr
     Kills the nilpotent pieces attached to F_i (upper) and F_j (lower).
     Linear in z; swapping the pair reverses the result, since the frame of
     (F_j, F_i) is that of (F_i, F_j) with its columns reversed and rescaled."""
-    h = _pair_basis(f_i, f_j, tol)
-    w = numkernel.solve(h, np.asarray(z, dtype=float) @ h)
-    return np.diag(w).copy()
+    z = np.asarray(z, dtype=float)[None]
+    return _flag_pairs([f_i.frame, f_j.frame], [(0, 1)], z, tol=tol)[1][0].copy()
 
 
 def neutral(f_i: Flag, f_j: Flag, y0, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Neutral map: embed a Cartan vector back along the transverse pair."""
-    h = _pair_basis(f_i, f_j, tol)
+    h = _flag_pairs([f_i.frame, f_j.frame], [(0, 1)], tol=tol)[0][0]
     return numkernel.adjoint(h, np.diag(np.asarray(y0, dtype=float)))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cartan, numkernel
-from .cartan import Flag, NotTransverse
+from .cartan import Flag
 from .numkernel import LoxodromicData, eigen_loxodromic
 
 
@@ -115,6 +115,14 @@ def affine_normal_form(g, y):
     return (lox.frame, x), signs, m
 
 
+def _co_neutral_maps(spaces, pairs, tol: float) -> np.ndarray:
+    """Co-neutral maps nu*_ij(x_i - x_j) of the flag pairs (i, j) of the
+    spaces, all from one stacked factorization (cartan._flag_pairs)."""
+    x = [s.base for s in spaces]
+    z = np.array([x[i] - x[j] for i, j in pairs])
+    return cartan._flag_pairs([s.flag.frame for s in spaces], pairs, z, tol=tol)[1]
+
+
 def cross_ratio(a1: AffineParabolic, a2: AffineParabolic, a3: AffineParabolic,
                 a4: AffineParabolic, *, tol: float = numkernel.DEFAULT_TOL) -> np.ndarray:
     """Affine cross ratio beta(A1,A2,A3,A4) of four pairwise transverse
@@ -122,18 +130,11 @@ def cross_ratio(a1: AffineParabolic, a2: AffineParabolic, a3: AffineParabolic,
 
     Evaluated through co-neutral maps of the four mixed flag pairs applied to
     base point differences; the value does not depend on the choice of base
-    point inside each space.  The mixed pairs are checked by their own
-    co-neutral maps, the pairs (A1,A2) and (A3,A4) here.
+    point inside each space.  The pairs (A1,A2) and (A3,A4) are factored with
+    the mixed ones, so a NotTransverse names whichever pair fails first.
     """
-    f = [s.flag for s in (a1, a2, a3, a4)]
-    x = [s.base for s in (a1, a2, a3, a4)]
-    for i, j in ((0, 1), (2, 3)):
-        if not cartan.is_transverse(f[i], f[j], tol=tol):
-            raise NotTransverse(f"flags {i} and {j} are not transverse")
-    return cartan.co_neutral(f[0], f[3], x[0] - x[3], tol=tol) \
-        - cartan.co_neutral(f[0], f[2], x[0] - x[2], tol=tol) \
-        + cartan.co_neutral(f[1], f[2], x[1] - x[2], tol=tol) \
-        - cartan.co_neutral(f[1], f[3], x[1] - x[3], tol=tol)
+    c = _co_neutral_maps((a1, a2, a3, a4), ((0, 1), (2, 3), (0, 3), (0, 2), (1, 2), (1, 3)), tol)
+    return c[2] - c[3] + c[4] - c[5]
 
 
 def triple_ratio(a2: AffineParabolic, a3: AffineParabolic, a4: AffineParabolic,
@@ -144,10 +145,5 @@ def triple_ratio(a2: AffineParabolic, a3: AffineParabolic, a4: AffineParabolic,
     Sum over the cyclic pairs (i,j) of nu*_ij(x_i - x_j) + nu*_ji(x_i - x_j),
     where the second term is the first reversed.
     """
-    f = [s.flag for s in (a2, a3, a4)]
-    x = [s.base for s in (a2, a3, a4)]
-    delta = np.zeros(f[0].n)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        c = cartan.co_neutral(f[i], f[j], x[i] - x[j], tol=tol)
-        delta += c + c[::-1]
-    return delta
+    c = _co_neutral_maps((a2, a3, a4), ((0, 1), (1, 2), (2, 0)), tol)
+    return (c + c[:, ::-1]).sum(axis=0)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance policy: library-wide defaults, all but REALNESS_TOL overridable per call.
+# Tolerance policy: a tolerance some caller sets takes a keyword; the others are constants.
 DEFAULT_TOL = 1e-9          # generic relative comparisons (transversality, det, trace)
 MODULUS_GAP_TOL = 1e-9      # minimal relative gap between eigenvalue moduli
-REALNESS_TOL = 1e-8         # |Im lambda| <= REALNESS_TOL * |lambda| counts as real
 CONDITION_LIMIT = 1e12      # linear solves refuse anything worse than this
 # Word products refuse |g| |g^{-1}| (Frobenius) from here on: float64 can no
 # longer tell g from a singular matrix, and its small eigenvalues are noise.
@@ -82,8 +81,7 @@ def _usable(stack: np.ndarray, reasons: list) -> np.ndarray:
     return stack
 
 
-def eigen_loxodromic_stack(g, reasons: list | None = None, *,
-                           gap_tol: float = MODULUS_GAP_TOL) -> tuple[LoxodromicData, list]:
+def eigen_loxodromic_stack(g, reasons: list | None = None) -> tuple[LoxodromicData, list]:
     """eigen_loxodromic on a stack of finite matrices, shape (N, n, n).
 
     Returns a LoxodromicData whose fields carry a leading batch axis, and a
@@ -91,8 +89,8 @@ def eigen_loxodromic_stack(g, reasons: list | None = None, *,
     exception eigen_loxodromic raises for it; the fields of such a matrix
     are meaningless.  Entries already set in the reasons passed in are kept
     and their matrices skipped.  Checks run in eigen_loxodromic's order:
-    determinant; per modulus index, a zero modulus before a collision;
-    realness; a degenerate eigenvector before a singular frame.
+    determinant; per modulus index, a zero modulus before a collision; a
+    degenerate eigenvector before a singular frame.
     """
     g = np.asarray(g, dtype=float)
     count, n = g.shape[0], g.shape[-1]
@@ -110,11 +108,11 @@ def eigen_loxodromic_stack(g, reasons: list | None = None, *,
         values = values[rows, order]
         cols = np.swapaxes(vectors, 1, 2)[rows, order]  # cols[i, j]: column j of frame i
 
-        # Modulus collisions first: a conjugate pair always collides, so this
-        # check also catches "almost real" pairs before the realness test does.
+        # A complex conjugate pair has equal moduli, so it always collides:
+        # past this check every spectrum is real.
         rel = moduli[:, :-1] / moduli[:, 1:] - 1.0
         zero = moduli[:, 1:] == 0.0
-        hit = zero | (rel <= gap_tol)
+        hit = zero | (rel <= MODULUS_GAP_TOL)
 
         def collision(i):
             j = int(np.argmax(hit[i]))
@@ -126,9 +124,6 @@ def eigen_loxodromic_stack(g, reasons: list | None = None, *,
         _reject(reasons, hit, collision)
 
         if np.iscomplexobj(values):
-            scale = moduli[:, :1]  # the largest modulus
-            _reject(reasons, np.abs(values.imag) > REALNESS_TOL * np.maximum(moduli, scale * 1e-300),
-                    lambda i: ComplexSpectrum("matrix has a genuinely complex eigenvalue"))
             values, cols = values.real, cols.real
 
         # Canonicalize: unit columns, largest-magnitude entry positive.  The
@@ -159,22 +154,20 @@ def eigen_loxodromic_stack(g, reasons: list | None = None, *,
                           gap=gap), reasons
 
 
-def eigen_loxodromic(g, *, gap_tol: float = MODULUS_GAP_TOL) -> LoxodromicData:
+def eigen_loxodromic(g) -> LoxodromicData:
     """Eigendecomposition of a real-split proximal matrix: the batch of one
     of eigen_loxodromic_stack.
 
-    Raises ComplexSpectrum when an eigenvalue has a relative imaginary part
-    above REALNESS_TOL, ModulusCollision when two moduli are closer than gap_tol
-    in relative terms, Singular when g is not invertible.  A complex conjugate
-    pair has equal moduli, so at gap_tol >= 0 it is reported as a
-    ModulusCollision; ComplexSpectrum needs gap_tol < 0.  Output is a pure
-    function of the input bytes: ties in the sign canonicalization are broken
-    by the first index attaining the maximal magnitude.
+    Raises ModulusCollision when two moduli are closer than MODULUS_GAP_TOL
+    in relative terms, which covers a complex conjugate pair (equal moduli),
+    and Singular when g is not invertible.  Output is a pure function of the
+    input bytes: ties in the sign canonicalization are broken by the first
+    index attaining the maximal magnitude.
     """
     g = _as_square(g)
     if not np.isfinite(g).all():
         raise ValueError("matrix contains non-finite entries")
-    lox, reasons = eigen_loxodromic_stack(g[None], gap_tol=gap_tol)
+    lox, reasons = eigen_loxodromic_stack(g[None])
     if reasons[0] is not None:
         raise reasons[0]
     return LoxodromicData(eigenvalues=lox.eigenvalues[0], frame=lox.frame[0],
@@ -262,7 +255,9 @@ def nearest_point(points) -> np.ndarray:
     """The point of the convex hull of the rows of points (N, d) nearest 0, by
     Wolfe's algorithm (Math. Programming 1976) on the points scaled to unit
     largest norm, stopped at x.x - min_j x.p_j <= NEAREST_POINT_TOL; its affine
-    steps use unguarded least squares, as a guarded solve can cycle on repeats."""
+    steps use unguarded least squares, as a guarded solve can cycle on repeats.
+    A stop at x.x <= NEAREST_POINT_TOL returns exact zeros: 0 lies in the hull
+    up to rounding, and x is the direction of a rounding residue."""
     p = np.asarray(points, dtype=float)
     scale = math.sqrt(np.max(np.vecdot(p, p)))
     if scale == 0.0:
@@ -277,7 +272,7 @@ def nearest_point(points) -> np.ndarray:
             x = affine @ q
             j = int(np.argmin(p @ x))
             if x @ (x - p[j]) <= NEAREST_POINT_TOL or j in corral:
-                return x * scale
+                return x * scale if x @ x > NEAREST_POINT_TOL else np.zeros(p.shape[1])
             corral, weights = corral + [j], np.append(affine, 0.0)
         else:  # move towards affine until a weight reaches 0, and drop that point
             out = np.flatnonzero(affine <= 0.0)

@@ -42,8 +42,7 @@ class SpectrumSample:
     reason: str | None = None
 
 
-_SKIP_REASONS = {ComplexSpectrum: "complex-spectrum", ModulusCollision: "modulus-collision",
-                 Singular: "singular"}
+_SKIP_REASONS = {ModulusCollision: "modulus-collision", Singular: "singular"}
 
 
 def sample_spectrum(rep: AffineRepresentation, max_length: int) -> list[SpectrumSample]:
@@ -101,15 +100,18 @@ def _zero_sum_basis(n: int) -> np.ndarray:
     return (np.tril(np.ones((n - 1, n))) - i * np.eye(n - 1, n, 1)) / np.sqrt(i * (i + 1))
 
 
-def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
-                          tau_zero: float = 1e-6) -> PropernessReport:
+TAU_PROPER = 1e-3  # a margin above this makes a PROPER_CANDIDATE
+TAU_ZERO = 1e-6    # a normalized invariant below this is a NONPROPER_SIGNATURE
+
+
+def properness_diagnostic(samples) -> PropernessReport:
     """Properness verdict on a sampled spectrum.  p is the point of the convex
     hull of the length-normalized Margulis invariants nearest 0, found in the
     zero-sum subspace's orthonormal coordinates; the functional is p/|p|
     ((e_1 - e_2)/sqrt(2) when p = 0) and the margin its least pairing with the
     invariants: dist(0, hull) when 0 lies outside the hull, never above |p|.
     A word of length >= horizon/2 (the longest sample) with normalized norm
-    below tau_zero is a NONPROPER_SIGNATURE; else a margin above tau_proper
+    below TAU_ZERO is a NONPROPER_SIGNATURE; else a margin above TAU_PROPER
     makes a PROPER_CANDIDATE, and anything else is INCONCLUSIVE."""
     samples = list(samples)
     ok = [s for s in samples if s.status == "ok"]
@@ -131,9 +133,9 @@ def properness_diagnostic(samples, *, tau_proper: float = 1e-3,
     skipped = sum(1 for s in samples if s.status != "ok")
     # vecdot matches the BLAS dot behind np.linalg.norm
     norms = np.sqrt(np.vecdot(margulis, margulis)) / lengths
-    if np.any((norms < tau_zero) & (lengths >= horizon / 2)):
+    if np.any((norms < TAU_ZERO) & (lengths >= horizon / 2)):
         verdict = "NONPROPER_SIGNATURE"
-    elif margin > tau_proper:
+    elif margin > TAU_PROPER:
         verdict = "PROPER_CANDIDATE"
     else:
         verdict = "INCONCLUSIVE"

@@ -8,7 +8,7 @@ from affinv.cartan import (Flag, NotTransverse, co_neutral, cartan_projection,
                            flag_distance, flags_of, is_transverse,
                            jordan_projection, neutral, omega0, reversed_flag,
                            standard_flag, transverse_frame)
-from affinv.numkernel import eigen_loxodromic
+from affinv.numkernel import DEFAULT_TOL, eigen_loxodromic
 from helpers import frame, loxodromic, traceless, unimodular
 
 
@@ -201,6 +201,27 @@ def test_co_neutral_swap_reverses():
                                    atol=1e-9 * (1 + np.linalg.norm(c)))
         checked += 1
     assert checked >= 30
+
+
+def test_flag_pairs_stack_is_bytewise_the_batch_of_one():
+    # K pairs over four frames in one factorization give the bytes of K
+    # separate co_neutral calls
+    rng = np.random.default_rng(22)
+    compared = 0
+    for trial in range(300):
+        n, count = 2 + trial % 4, 1 + trial % 7
+        frames = [frame(n, rng, 0.8) for _ in range(4)]
+        pairs = [tuple(int(v) for v in rng.choice(4, 2, replace=False)) for _ in range(count)]
+        z = np.array([traceless(n, rng) for _ in range(count)])
+        try:
+            stacked = cartan._flag_pairs(frames, pairs, z, tol=DEFAULT_TOL)[1]
+        except NotTransverse:
+            continue
+        for k, (i, j) in enumerate(pairs):
+            one = co_neutral(Flag(frames[i]), Flag(frames[j]), z[k])
+            assert one.tobytes() == stacked[k].tobytes()
+        compared += 1
+    assert compared >= 250
 
 
 def test_co_neutral_on_model_flags():

@@ -154,29 +154,51 @@ def test_invariant_degenerate_word(tmp_path, capsys):
     assert "modulus" in (payload["error"] + payload["message"]).lower()
 
 
-def test_crossratio_matches_library(tmp_path, capsys):
+def crossratio_file(tmp_path, frame0_scale=1.0):
+    """A four-space file (n=2) of the fixture's first generator: beta is
+    m - omega0(m) for its Margulis invariant m.  Frame 0 is multiplied by
+    frame0_scale, which leaves its flag unchanged."""
     rep = cli.load_rep(fixture("schottky_n2.json"), 1e-9)
     g, y = rep.rho[0], rep.u[0]
     a_plus, a_minus = affine_fixed_parabolics(g, y)
     rng = np.random.default_rng(3)
     probe_frame = np.linalg.qr(rng.standard_normal((2, 2)))[0]
     base = traceless(2, rng)
-    moved_frame = g @ probe_frame
-    moved_base = g @ base @ np.linalg.inv(g) + y
     spaces = []
-    for fr, bs in ((a_plus.flag.frame, a_plus.base),
+    for fr, bs in ((a_plus.flag.frame * frame0_scale, a_plus.base),
                    (a_minus.flag.frame, a_minus.base),
-                   (moved_frame, moved_base), (probe_frame, base)):
+                   (g @ probe_frame, g @ base @ np.linalg.inv(g) + y), (probe_frame, base)):
         spaces.append({"frame": [float(v) for v in fr.flatten()],
                        "base": [float(v) for v in bs.flatten()]})
-    path = tmp_path / "spaces.json"
+    path = tmp_path / f"spaces-{frame0_scale:g}.json"
     path.write_text(json.dumps({"n": 2, "spaces": spaces}))
-    code, out, _ = run(capsys, "crossratio", str(path))
+    return path
+
+
+def test_crossratio_matches_library(tmp_path, capsys):
+    code, out, _ = run(capsys, "crossratio", str(crossratio_file(tmp_path)))
     assert code == 0
     beta = np.array(json.loads(out)["beta"])
     from affinv.invariants import margulis_invariant
-    m = margulis_invariant(g, y)
+    rep = cli.load_rep(fixture("schottky_n2.json"), 1e-9)
+    m = margulis_invariant(rep.rho[0], rep.u[0])
     np.testing.assert_allclose(beta, m - omega0(m), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-200])
+def test_crossratio_of_a_rescaled_frame_is_quiet_and_unchanged(tmp_path, capsys, scale):
+    # once overflowed to NotTransverse (exit 3) with RuntimeWarnings on stderr
+    code, out, _ = run(capsys, "crossratio", str(crossratio_file(tmp_path)))
+    assert code == 0
+    beta = np.array(json.loads(out)["beta"])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "affinv.cli", "crossratio",
+                           str(crossratio_file(tmp_path, scale))],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    np.testing.assert_allclose(json.loads(proc.stdout)["beta"], beta, rtol=0, atol=1e-12)
 
 
 def test_crossratio_rejects_bad_space_count(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Margulis invariants, invariant affine points, cross and triple ratios."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ def degenerate_pair(spaces, i, j):
 def test_cross_ratio_checks_every_pair(i, j):
     spaces = transverse_tuple(3, np.random.default_rng(17), 4)
     cross_ratio(*spaces)
-    with pytest.raises(NotTransverse):
+    with pytest.raises(NotTransverse, match=rf"flags ({i} and {j}|{j} and {i}) are not"):
         cross_ratio(*degenerate_pair(spaces, i, j))
 
 
@@ -167,8 +169,61 @@ def test_cross_ratio_checks_every_pair(i, j):
 def test_triple_ratio_checks_every_pair(i, j):
     spaces = transverse_tuple(3, np.random.default_rng(18), 3)
     triple_ratio(*spaces)
-    with pytest.raises(NotTransverse):
+    with pytest.raises(NotTransverse, match=rf"flags ({i} and {j}|{j} and {i}) are not"):
         triple_ratio(*degenerate_pair(spaces, i, j))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_cross_ratio_names_the_pair_of_a_zero_column(k):
+    spaces = transverse_tuple(3, np.random.default_rng(19), 4)
+    zeroed = spaces[k].flag.frame.copy()
+    zeroed[:, 1] = 0.0
+    spaces[k] = AffineParabolic(Flag(zeroed), spaces[k].base)
+    pair = "0 and 1" if k < 2 else "2 and 3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotTransverse, match=f"flags {pair} are not"):
+            cross_ratio(*spaces)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 2.0 ** -1000],
+                         ids=["2^600", "2^-600", "2^-1000"])
+def test_cross_ratio_does_not_depend_on_column_scale(scale):
+    # a rescaled frame is the same flag: dividing each column by its largest
+    # |entry| first makes the bytes independent of a power-of-two scale
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 4):
+        spaces = transverse_tuple(n, rng, 4)
+        beta = cross_ratio(*spaces)
+        for k in range(4):
+            frames = (spaces[k].flag.frame * scale, spaces[k].flag.frame.copy())
+            frames[1][:, n - 1] *= scale
+            for scaled_frame in frames:
+                scaled = list(spaces)
+                scaled[k] = AffineParabolic(Flag(scaled_frame), spaces[k].base)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert cross_ratio(*scaled).tobytes() == beta.tobytes()
+
+
+def test_one_guarded_solve_per_call(monkeypatch):
+    calls = []
+    solve_stack = numkernel.solve_stack
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_stack(*args, **kwargs)
+
+    monkeypatch.setattr(numkernel, "solve_stack", counted)
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4):
+        spaces = transverse_tuple(n, rng, 4)
+        for call in (lambda: cartan.co_neutral(spaces[0].flag, spaces[1].flag, traceless(n, rng)),
+                     lambda: cross_ratio(*spaces),
+                     lambda: triple_ratio(*spaces[:3])):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 def test_cross_ratio_base_point_independence():

@@ -168,16 +168,14 @@ def mixed_stack():
                      np.diag([2.0, 0.5, 1e-320]), embed(ill), loxodromic(3, rng)])
 
 
-@pytest.mark.parametrize("gap_tol", [numkernel.MODULUS_GAP_TOL, -1.0],
-                         ids=["default", "no-collision-check"])
-def test_eigen_loxodromic_stack_is_the_batch_of_one(gap_tol):
-    # a conjugate pair always collides, so ComplexSpectrum needs gap_tol < 0
+def test_eigen_loxodromic_stack_is_the_batch_of_one():
+    # a conjugate pair always collides, so no spectrum is left complex
     stack = mixed_stack()
-    lox, reasons = eigen_loxodromic_stack(stack, gap_tol=gap_tol)
+    lox, reasons = eigen_loxodromic_stack(stack)
     kinds = []
     for i, g in enumerate(stack):
         try:
-            one = eigen_loxodromic(g, gap_tol=gap_tol)
+            one = eigen_loxodromic(g)
         except numkernel.NumericalDegeneracy as exc:
             assert type(reasons[i]) is type(exc) and str(reasons[i]) == str(exc)
             kinds.append(type(exc))
@@ -189,14 +187,11 @@ def test_eigen_loxodromic_stack_is_the_batch_of_one(gap_tol):
         assert lox.gap[i] == one.gap
     expected = [None, ModulusCollision, ModulusCollision, None, Singular, Singular,
                 None, None]
-    if gap_tol < 0:
-        expected[1:3] = [ComplexSpectrum, None]
     assert kinds == expected
     # a matrix rejected before the call is not decomposed, so it cannot make
     # the stacked LAPACK call fail for all
     poisoned = np.concatenate([stack, np.full((1, 3, 3), np.inf)])
-    _, kept = eigen_loxodromic_stack(poisoned, [None] * len(stack) + [Singular("kept")],
-                                     gap_tol=gap_tol)
+    _, kept = eigen_loxodromic_stack(poisoned, [None] * len(stack) + [Singular("kept")])
     assert [type(r) if r else None for r in kept[:-1]] == expected
     assert str(kept[-1]) == "kept"
 
@@ -235,13 +230,15 @@ def test_nearest_point_against_the_nnls_reference():
 
 
 def test_nearest_point_is_zero_when_the_hull_holds_zero():
+    # exact zeros: a stop at x.x <= NEAREST_POINT_TOL leaves no rounding residue
     rng = np.random.default_rng(13)
     for points in random_point_sets(rng, 500):
         centered = points - points.mean(axis=0)  # the centroid 0 is in the hull
         with_zero = np.vstack([points, np.zeros(points.shape[1])])
         for cloud in (centered, with_zero):
-            scale = np.max(np.linalg.norm(cloud, axis=1))
-            assert np.linalg.norm(numkernel.nearest_point(cloud)) <= 1e-12 * scale
+            assert numkernel.nearest_point(cloud).tobytes() == np.zeros(points.shape[1]).tobytes()
+    # 0 outside the hull by more than the tolerance keeps its point
+    assert numkernel.nearest_point(np.array([[1e-5, 1.0], [1e-5, -1.0]])).tolist() == [1e-5, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert numkernel.nearest_point(np.zeros((4, 3))).tobytes() == np.zeros(3).tobytes()

@@ -193,7 +193,7 @@ def per_sample_properness(samples, tau_proper=1e-3, tau_zero=1e-6):
     (lambda: coboundary_rep()[0], 5, "NONPROPER_SIGNATURE", 0),
 ], ids=["schottky_n2-8", "lift4-6", "coboundary-5"])
 def test_properness_diagnostic_is_the_per_sample_computation(make_rep, max_length,
-                                                             verdict, skipped):
+                                                             verdict, skipped, monkeypatch):
     samples = sample_spectrum(make_rep(), max_length)
     report = properness_diagnostic(samples)
     ref_verdict, ref_margin, ref_functional, ref_skipped = per_sample_properness(samples)
@@ -210,7 +210,8 @@ def test_properness_diagnostic_is_the_per_sample_computation(make_rep, max_lengt
             floors[s.length] = min(floors.get(s.length, np.inf), norm)
     for floor in floors.values():
         for tau_zero in (floor, np.nextafter(floor, np.inf)):
-            assert properness_diagnostic(samples, tau_zero=tau_zero).verdict == \
+            monkeypatch.setattr(spectra, "TAU_ZERO", tau_zero)
+            assert properness_diagnostic(samples).verdict == \
                 per_sample_properness(samples, tau_zero=tau_zero)[0]
 
 
@@ -248,6 +249,21 @@ def test_properness_of_a_zero_cocycle_is_quiet():
         report = properness_diagnostic(samples)
     assert report.functional.tobytes() == (np.array([1.0, -1.0]) / math.sqrt(2.0)).tobytes()
     assert (report.margin, report.verdict) == (0.0, "NONPROPER_SIGNATURE")
+
+
+@pytest.mark.parametrize("max_length", [5, 6])
+def test_properness_with_0_in_the_hull_reports_no_rounding_residue(max_length):
+    # on the n=3 lift 0 lies in the hull (the float64 nearest point is ~1e-18):
+    # the functional is (e_1 - e_2)/sqrt(2), not the direction of that residue
+    samples = sample_spectrum(lifted_schottky_rep(3), max_length)
+    normalized = np.array([s.margulis / s.length for s in samples if s.status == "ok"])
+    assert np.linalg.norm(nnls_nearest_point(normalized)) <= 1e-12
+    report = properness_diagnostic(samples)
+    functional = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    assert report.functional.tobytes() == functional.tobytes()
+    assert report.margin == float(np.min(normalized @ functional))
+    assert abs(report.margin + 0.07499865439059965) <= 1e-12
+    assert report.verdict == "INCONCLUSIVE"
 
 
 @pytest.mark.parametrize("length, signature", [(2, False), (3, True), (6, True)])
