@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,8 @@ from .numkernel import NumericalDegeneracy
 
 # Upper caps on run sizes, each set by a run of a few seconds on 2 shared cores: spectrum
 # --max-length 12 on schottky_n2 (2.0 s; with k generators, (2k - 1)^L <= 3^12), limit
-# --max-power 4096 on its pair (ab, aB) (3.4 s), lw 800 400 (1.9 s), fuchsian 400 (1.6 s).
+# --max-power 4096 on its pair (ab, aB) (3.4 s), lw 800 400 (1.9 s), fuchsian 400 on a
+# pair of rotations (1.4 s).
 MAX_LENGTH, MAX_POWER, MAX_LW_N, MAX_LIFT_N = 12, 4096, 800, 400
 
 
@@ -138,7 +140,7 @@ def cmd_crossratio(args) -> int:
     return 0
 
 
-def _sample(args) -> tuple[AffineRepresentation, list]:
+def _sample(args) -> tuple[AffineRepresentation, np.recarray]:
     rep = load_rep(args.rep, args.tolerance)
     if (2 * rep.k - 1) ** args.max_length > 3 ** MAX_LENGTH:
         raise SchemaError(f"--max-length {args.max_length} is above the cap for "
@@ -200,6 +202,13 @@ def cmd_fuchsian(args) -> int:
     rep2 = load_rep(args.rep, args.tolerance)
     if rep2.n != 2:
         raise SchemaError(f"expected an n=2 representation file, got n={rep2.n}")
+    # the lift of g has 2-norm condition number cond(g)^(n-1): refuse it before lifting
+    log_cond = max(math.log(np.linalg.cond(g)) for g in rep2.rho)
+    log_limit = math.log(numkernel.PRODUCT_CONDITION_LIMIT)
+    if (args.n - 1) * log_cond > log_limit:
+        raise SchemaError(f"the n={args.n} lift has condition number "
+                          f"{math.exp(log_cond):.6g}^{args.n - 1}, beyond float64; "
+                          f"the largest admissible n is {1 + int(log_limit / log_cond)}")
     rho, u = fuchsian.lift_representation(args.n, rep2.rho, rep2.u)
     lifted = AffineRepresentation(args.n, rep2.k, rho, u, rep2.metadata, args.tolerance)
     payload = rep_to_dict(lifted)

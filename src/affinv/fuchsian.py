@@ -31,7 +31,7 @@ def _binomial_weights(n: int) -> np.ndarray:
     return np.array([math.sqrt(math.comb(d, i)) for i in range(n)])
 
 
-def sym_rep(n: int, a, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sym_rep(n: int, a) -> np.ndarray:
     """Action of a in SL(2,R) on degree-(n-1) homogeneous polynomials in the
     binomially normalized monomial basis, so orthogonal inputs map to
     orthogonal outputs and diag(l, 1/l) maps to diag(l^(n-1), ..., l^(1-n)).
@@ -39,7 +39,7 @@ def sym_rep(n: int, a, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if abs(np.linalg.det(a) - 1.0) > tol:
+    if abs(np.linalg.det(a) - 1.0) > DEFAULT_TOL:
         raise NotUnimodular(f"det = {np.linalg.det(a):.12g}")
     d = n - 1
     p, q, r, s = a[0, 0], a[0, 1], a[1, 0], a[1, 1]

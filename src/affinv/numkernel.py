@@ -32,10 +32,6 @@ class Singular(NumericalDegeneracy):
     pass
 
 
-class ComplexSpectrum(NumericalDegeneracy):
-    pass
-
-
 class ModulusCollision(NumericalDegeneracy):
     pass
 

@@ -25,61 +25,60 @@ from .freegroup import (AffineRepresentation, Word, _letter_table, _mul, _pow,
                         _product, cyclic_reduce, eval_affine, evaluate_conjugacy_reps)
 from .invariants import (affine_fixed_parabolics, cross_ratio, margulis_invariant,
                          margulis_invariant_stack)
-from .numkernel import ComplexSpectrum, ModulusCollision, Singular
+from .numkernel import ModulusCollision, Singular
 
 
 class EmptySampleSet(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    word: Word
-    length: int
-    jordan: np.ndarray | None
-    margulis: np.ndarray | None
-    status: str            # "ok" or "skipped"
-    reason: str | None = None
+_SKIP_REASONS = {type(None): None, ModulusCollision: "modulus-collision", Singular: "singular"}
 
 
-_SKIP_REASONS = {ModulusCollision: "modulus-collision", Singular: "singular"}
-
-
-def sample_spectrum(rep: AffineRepresentation, max_length: int) -> list[SpectrumSample]:
+def sample_spectrum(rep: AffineRepresentation, max_length: int) -> np.recarray:
     """Jordan projections and Margulis invariants over all conjugacy class
-    representatives of cyclic length <= max_length, in deterministic
-    enumeration order.  Non-loxodromic words, products beyond float64 and
-    eigenframes too ill-conditioned to solve against are recorded as
-    skipped, never dropped.  Each length is one stacked evaluation: one
+    representatives of cyclic length <= max_length: one record per word, in
+    deterministic enumeration order, with fields word, length, jordan,
+    margulis, status ("ok" or "skipped") and reason (None or the skip name).
+    Non-loxodromic words, products beyond float64 and eigenframes too
+    ill-conditioned to solve against are recorded as skipped, with NaN
+    numbers, never dropped.  Each length is one stacked evaluation: one
     eigendecomposition and one solve over all its words."""
-    samples = []
+    dtype = np.dtype([("word", object), ("length", int), ("jordan", float, (rep.n,)),
+                      ("margulis", float, (rep.n,)), ("status", "U7"), ("reason", object)],
+                     align=True)
+    parts = [np.empty(0, dtype)]
     for words, g, y, reasons in evaluate_conjugacy_reps(rep, max_length):
         lox, reasons = numkernel.eigen_loxodromic_stack(g, reasons)
         margulis, reasons = margulis_invariant_stack(lox.frame, y, reasons)
+        skipped = np.array([reason is not None for reason in reasons])
+        part = np.empty(len(words), dtype)
+        part["word"] = words
+        part["length"] = len(words[0])
         with np.errstate(divide="ignore"):  # rows of skipped words may hold zeros
             jordan = np.log(np.abs(lox.eigenvalues))
-        length = len(words[0])
-        for word, jd, m, reason in zip(words, jordan, margulis, reasons):
-            if reason is None:
-                samples.append(SpectrumSample(word, length, jd, m, "ok"))
-            else:
-                samples.append(SpectrumSample(word, length, None, None, "skipped",
-                                              _SKIP_REASONS[type(reason)]))
-    return samples
+        part["jordan"] = np.where(skipped[:, None], np.nan, jordan)
+        part["margulis"] = np.where(skipped[:, None], np.nan, margulis)
+        part["status"] = np.where(skipped, "skipped", "ok")
+        part["reason"] = [_SKIP_REASONS[type(reason)] for reason in reasons]
+        parts.append(part)
+    return np.concatenate(parts).view(np.recarray)
 
 
-def write_spectrum_csv(samples, n: int, stream) -> None:
+def write_spectrum_csv(samples: np.recarray, n: int, stream) -> None:
     """CSV with header word,length,jd_1..jd_n,m_1..m_n,status; skipped words
     get empty numeric cells and a skipped(reason) status."""
     header = ["word", "length"] + [f"jd_{i+1}" for i in range(n)] \
         + [f"m_{i+1}" for i in range(n)] + ["status"]
     stream.write(",".join(header) + "\n")
     ok_row = "%s,%d," + "%.17g," * (2 * n) + "ok\n"
-    for s in samples:
-        if s.status == "ok":
-            stream.write(ok_row % (s.word, s.length, *s.jordan.tolist(), *s.margulis.tolist()))
+    values = np.concatenate([samples.jordan, samples.margulis], axis=1).tolist()
+    for word, length, row, reason in zip(samples.word, samples.length.tolist(), values,
+                                         samples.reason):
+        if reason is None:
+            stream.write(ok_row % (word, length, *row))
         else:
-            stream.write(f"{s.word},{s.length},{',' * (2 * n)}skipped({s.reason})\n")
+            stream.write(f"{word},{length},{',' * (2 * n)}skipped({reason})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,7 @@ TAU_PROPER = 1e-3  # a margin above this makes a PROPER_CANDIDATE
 TAU_ZERO = 1e-6    # a normalized invariant below this is a NONPROPER_SIGNATURE
 
 
-def properness_diagnostic(samples) -> PropernessReport:
+def properness_diagnostic(samples: np.recarray) -> PropernessReport:
     """Properness verdict on a sampled spectrum.  p is the point of the convex
     hull of the length-normalized Margulis invariants nearest 0, found in the
     zero-sum subspace's orthonormal coordinates; the functional is p/|p|
@@ -113,24 +112,20 @@ def properness_diagnostic(samples) -> PropernessReport:
     A word of length >= horizon/2 (the longest sample) with normalized norm
     below TAU_ZERO is a NONPROPER_SIGNATURE; else a margin above TAU_PROPER
     makes a PROPER_CANDIDATE, and anything else is INCONCLUSIVE."""
-    samples = list(samples)
-    ok = [s for s in samples if s.status == "ok"]
-    if not ok:
+    ok = samples.status == "ok"
+    if not ok.any():
         raise EmptySampleSet("no usable samples")
-    n = len(ok[0].margulis)
-    horizon = max(s.length for s in samples)
-
-    margulis = np.array([s.margulis for s in ok])
-    lengths = np.array([s.length for s in ok], dtype=float)
+    horizon = int(samples.length.max())
+    margulis = samples.margulis[ok]
+    lengths = samples.length[ok].astype(float)
     normalized = margulis / lengths[:, None]
 
-    basis = _zero_sum_basis(n)
+    basis = _zero_sum_basis(margulis.shape[1])
     nearest = numkernel.nearest_point(normalized @ basis.T)
     distance = np.linalg.norm(nearest)
     functional = basis[0] if distance == 0.0 else (nearest / distance) @ basis
     margin = float(np.min(normalized @ functional))
 
-    skipped = sum(1 for s in samples if s.status != "ok")
     # vecdot matches the BLAS dot behind np.linalg.norm
     norms = np.sqrt(np.vecdot(margulis, margulis)) / lengths
     if np.any((norms < TAU_ZERO) & (lengths >= horizon / 2)):
@@ -140,7 +135,8 @@ def properness_diagnostic(samples) -> PropernessReport:
     else:
         verdict = "INCONCLUSIVE"
     return PropernessReport(horizon=horizon, functional=functional,
-                            margin=margin, skipped_count=skipped, verdict=verdict)
+                            margin=margin, skipped_count=len(samples) - len(lengths),
+                            verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +144,11 @@ def properness_diagnostic(samples) -> PropernessReport:
 
 def _mp_margulis(pair) -> np.ndarray:
     """The Margulis invariant of an mpmath pair (g, Y), or of a triple
-    (g, g^{-1}, Y), rounded to float64."""
+    (g, g^{-1}, Y), rounded to float64.  Colliding eigenvalue moduli raise
+    ModulusCollision; a complex conjugate pair has equal moduli."""
     g, *_, y = pair
     n = g.rows
     values, vectors = mpmath.eig(g)
-    scale = max(abs(v) for v in values)
-    for v in values:
-        if abs(mpmath.im(v)) > 1e-12 * scale:
-            raise ComplexSpectrum("power word left the real-split locus")
     order = sorted(range(n), key=lambda i: -abs(values[i]))
     moduli = [abs(values[i]) for i in order]
     for big, small in zip(moduli, moduli[1:]):

@@ -464,6 +464,20 @@ def test_fuchsian_lift_is_validated_at_the_tolerance(capsys):
     assert json.loads(out)["n"] == 12
 
 
+@pytest.mark.parametrize("n", ["18", "400"])
+def test_fuchsian_refuses_a_lift_beyond_float64_before_lifting(capsys, monkeypatch, n):
+    # cond(a) = 9 on schottky_n2, and the n-dimensional lift has condition 9^(n-1)
+    def no_lift(*args, **kwargs):
+        raise AssertionError("sym_rep called")
+
+    monkeypatch.setattr(cli.fuchsian, "sym_rep", no_lift)
+    code, out, err = run(capsys, "fuchsian", n, fixture("schottky_n2.json"))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "SchemaError"
+    assert "the largest admissible n is 17" in error["message"]
+
+
 def write_diagonal_rep(path, k):
     path.write_text(json.dumps({"n": 2, "k": k, "generators": [
         {"rho": [2.0 + i, 0.0, 0.0, 1.0 / (2.0 + i)], "u": [0.1, 0.0, 0.0, -0.1]}

@@ -1,6 +1,5 @@
 """Spectrum sampling, properness diagnostics, limit and convexity probes."""
 
-import dataclasses
 import functools
 import io
 import math
@@ -15,9 +14,8 @@ from affinv.cartan import NotTransverse, omega0
 from affinv.freegroup import (AffineRepresentation, Word, _mul, _pow, _product,
                               cyclic_reduce, enumerate_conjugacy_reps, eval_affine)
 from affinv.invariants import margulis_invariant
-from affinv.numkernel import (ComplexSpectrum, ModulusCollision,
-                              NumericalDegeneracy, Singular)
-from affinv.spectra import (EmptySampleSet, SpectrumSample, anosov_gap_probe,
+from affinv.numkernel import ModulusCollision, NumericalDegeneracy, Singular
+from affinv.spectra import (EmptySampleSet, anosov_gap_probe,
                             convexity_probe, derivative_experiment,
                             limit_formula_experiment, properness_diagnostic,
                             sample_spectrum, write_spectrum_csv)
@@ -82,24 +80,29 @@ def test_sample_spectrum_skips_products_beyond_float64():
     assert {(s.status, s.reason) for s in longest} == {("skipped", "singular")}
 
 
+def spectrum_fields(n):
+    """The fields of the sample_spectrum table, in order, with their dtypes."""
+    return [("word", np.dtype(object)), ("length", np.dtype(int)),
+            ("jordan", np.dtype((float, (n,)))), ("margulis", np.dtype((float, (n,)))),
+            ("status", np.dtype("U7")), ("reason", np.dtype(object))]
+
+
 def batch_of_one_spectrum(rep, max_length):
     """The reference for sample_spectrum: each word on its own through
-    eval_affine, eigen_loxodromic and margulis_invariant."""
-    reasons = {ComplexSpectrum: "complex-spectrum",
-               ModulusCollision: "modulus-collision", Singular: "singular"}
-    samples = []
+    eval_affine, eigen_loxodromic and margulis_invariant, into the same table."""
+    reasons = {ModulusCollision: "modulus-collision", Singular: "singular"}
+    nan = np.full(rep.n, np.nan)
+    rows = []
     for word in enumerate_conjugacy_reps(rep.k, max_length):
         try:
             g, y = eval_affine(rep, word)
             lox = numkernel.eigen_loxodromic(g)
             m = margulis_invariant(g, y, lox=lox)
         except NumericalDegeneracy as exc:
-            samples.append(SpectrumSample(word, len(word), None, None, "skipped",
-                                          reasons[type(exc)]))
+            rows.append((word, len(word), nan, nan, "skipped", reasons[type(exc)]))
             continue
-        samples.append(SpectrumSample(word, len(word), np.log(np.abs(lox.eigenvalues)),
-                                      m, "ok"))
-    return samples
+        rows.append((word, len(word), np.log(np.abs(lox.eigenvalues)), m, "ok", None))
+    return np.rec.fromrecords(rows, dtype=spectrum_fields(rep.n))
 
 
 @pytest.mark.parametrize("make_rep, max_length, skipped", [
@@ -114,13 +117,46 @@ def test_sample_spectrum_is_bytewise_the_batch_of_one(make_rep, max_length, skip
     assert sum(s.status != "ok" for s in batched) == skipped
     assert [(s.word, s.length, s.status, s.reason) for s in batched] == \
         [(s.word, s.length, s.status, s.reason) for s in reference]
-    for s, r in zip(batched, reference):
-        if s.status == "ok":
-            assert np.array_equal(s.jordan, r.jordan) and np.array_equal(s.margulis, r.margulis)
+    ok = reference.status == "ok"
+    assert batched.jordan[ok].tobytes() == reference.jordan[ok].tobytes()
+    assert batched.margulis[ok].tobytes() == reference.margulis[ok].tobytes()
     csv_batched, csv_reference = io.StringIO(), io.StringIO()
     write_spectrum_csv(batched, rep.n, csv_batched)
     write_spectrum_csv(reference, rep.n, csv_reference)
     assert csv_batched.getvalue() == csv_reference.getvalue()
+
+
+@pytest.mark.parametrize("make_rep, max_length, reasons", [
+    (rotation_rep, 3, {"modulus-collision"}),
+    (lambda: lifted_schottky_rep(4), 6, {"singular"}),
+], ids=["rotation-3", "lift4-6"])
+def test_spectrum_table_fields_and_skipped_rows(make_rep, max_length, reasons):
+    rep = make_rep()
+    samples = sample_spectrum(rep, max_length)
+    assert isinstance(samples, np.recarray)
+    assert [(name, samples.dtype[name]) for name in samples.dtype.names] == \
+        spectrum_fields(rep.n)
+    skipped = samples.status == "skipped"
+    assert set(samples.status) <= {"ok", "skipped"} and skipped.any()
+    assert np.all(np.isnan(samples.jordan[skipped]))
+    assert np.all(np.isnan(samples.margulis[skipped]))
+    assert np.all(np.isfinite(samples.jordan[~skipped]))
+    assert np.all(np.isfinite(samples.margulis[~skipped]))
+    assert set(samples.reason[skipped]) == reasons
+    assert set(samples.reason[~skipped]) <= {None}
+    for i, s in enumerate(samples):
+        assert (s.word, s.length, s.status, s.reason) == (
+            samples.word[i], samples.length[i], samples.status[i], samples.reason[i])
+        assert s.jordan.tobytes() == samples.jordan[i].tobytes()
+        assert s.margulis.tobytes() == samples.margulis[i].tobytes()
+
+
+def test_spectrum_table_of_horizon_0_is_empty():
+    samples = sample_spectrum(diag_rep(), 0)
+    assert isinstance(samples, np.recarray) and len(samples) == 0
+    assert [(name, samples.dtype[name]) for name in samples.dtype.names] == spectrum_fields(3)
+    with pytest.raises(EmptySampleSet):
+        properness_diagnostic(samples)
 
 
 def test_spectrum_csv_golden():
@@ -270,7 +306,7 @@ def test_properness_with_0_in_the_hull_reports_no_rounding_residue(max_length):
 def test_properness_signature_needs_a_word_of_half_the_horizon(length, signature):
     samples = sample_spectrum(schottky_fixture_rep(), 6)
     i = next(i for i, s in enumerate(samples) if s.length == length)
-    samples[i] = dataclasses.replace(samples[i], margulis=samples[i].margulis * 1e-9)
+    samples.margulis[i] *= 1e-9
     verdict = properness_diagnostic(samples).verdict
     assert verdict == per_sample_properness(samples)[0]
     assert (verdict == "NONPROPER_SIGNATURE") == signature
